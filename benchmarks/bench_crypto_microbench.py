@@ -8,6 +8,12 @@ measured with warm precomputation tables — the fleet steady state, where
 the generator tables are built once per process and the verifier holds a
 per-key table for each endorsed device.
 
+A second table times AES-GCM under a *fresh* key, as every handshake
+session has one: a cold-cache ``AesGcm(key)`` plus a 4 kB msg3 seal, and
+a 1 MB seal. It also times the parts of the stripe-table crossover (the
+build, and the scalar and striped fold per block) that
+``gcm._VECTOR_MIN_BLOCKS`` is set from.
+
 Writes ``bench_results/crypto_microbench.txt`` (human-readable) and
 ``bench_results/BENCH_crypto.json`` (machine-readable, for CI artifact
 diffing). The ``>= 3x`` assertions on verify and ECDH are the PR's
@@ -17,6 +23,8 @@ acceptance floor; measured speedups are typically 4-5x.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import statistics
 import time
 
 from repro.bench import format_duration, format_table, save_json, save_report
@@ -24,10 +32,13 @@ from repro.core import VerifierPolicy
 from repro.core.attester import Attester
 from repro.core.measurement import measure_bytes
 from repro.core.verifier import Verifier
-from repro.crypto import ec, ecdh, ecdsa
+from repro.crypto import ec, ecdh, ecdsa, gcm
 
 _ROUNDS = 12
 _MESSAGE = b"watz evidence body for the microbench"
+_GCM_IV = b"\x00" * 12
+_HANDSHAKE_MSG3 = 4096
+_BULK_MSG3 = 1 << 20
 
 
 def _private_scalar(label: bytes) -> int:
@@ -95,6 +106,66 @@ def _measure_suite():
     }
 
 
+def _fresh_key_seal(size: int, rounds: int) -> float:
+    """Best-of-rounds cold-cache ``AesGcm(key)`` plus one ``size`` seal."""
+    plaintext = bytes(size)
+    keys = iter(hashlib.sha256(b"fresh gcm key %d" % i).digest()[:16]
+                for i in range(rounds))
+
+    def once():
+        gcm.AesGcm(next(keys)).seal(_GCM_IV, plaintext)
+
+    gcm.clear_table_cache()
+    return _time(once, rounds=rounds)
+
+
+def _gcm_crossover() -> dict:
+    """Fresh-key seals of N blocks with the stripe build forced off and
+    on (median of interleaved rounds): the smallest N where building the
+    stripe tables pays is the crossover ``_VECTOR_MIN_BLOCKS`` is set to."""
+    threshold = gcm._VECTOR_MIN_BLOCKS
+    sizes = [threshold // 2, threshold, threshold * 2]
+    keys = (hashlib.sha256(b"crossover key %d" % i).digest()[:16]
+            for i in itertools.count())
+    series = {}
+    try:
+        for blocks in sizes:
+            plaintext = bytes(blocks * 16)
+            samples = {"scalar": [], "striped": []}
+            for _ in range(9):
+                for path, minimum in (("scalar", 1 << 62),
+                                      ("striped", gcm.STRIPE_WIDTH)):
+                    gcm._VECTOR_MIN_BLOCKS = minimum
+                    cipher = gcm.AesGcm(next(keys))
+                    start = time.perf_counter()
+                    cipher.seal(_GCM_IV, plaintext)
+                    samples[path].append(time.perf_counter() - start)
+            series[blocks] = {path: statistics.median(times)
+                              for path, times in samples.items()}
+    finally:
+        gcm._VECTOR_MIN_BLOCKS = threshold
+    pays = [blocks for blocks in sizes
+            if series[blocks]["striped"] <= series[blocks]["scalar"]]
+    return {
+        "vector_min_blocks": threshold,
+        "fresh_key_seal_s": series,
+        "stripes_pay_from_blocks": min(pays) if pays else None,
+    }
+
+
+def _gcm_suite() -> dict:
+    gcm.clear_table_cache()
+    suite = {
+        "fresh_key_4k_s": _fresh_key_seal(_HANDSHAKE_MSG3, _ROUNDS),
+        "stripe_builds_4k": gcm.table_cache_info()["stripe_builds"],
+        "fresh_key_1m_s": _fresh_key_seal(_BULK_MSG3, 3),
+        "stripe_builds_1m": gcm.table_cache_info()["stripe_builds"],
+    }
+    suite.update(_gcm_crossover())
+    gcm.clear_table_cache()
+    return suite
+
+
 def test_crypto_microbench():
     # Warm tables first: generator combs are process-wide and built once;
     # the per-key tables model a verifier that has precomputed its
@@ -111,17 +182,40 @@ def test_crypto_microbench():
     speedups = {op: naive[op] / fast[op] for op in operations}
     rows = [[op, format_duration(naive[op]), format_duration(fast[op]),
              f"{speedups[op]:.1f}x"] for op in operations]
-    save_report("crypto_microbench", format_table(
-        "P-256 fast paths vs naive reference (warm tables, best of "
-        f"{_ROUNDS})",
-        ["operation", "naive", "fast", "speedup"], rows,
-    ))
+    fresh_gcm = _gcm_suite()
+    gcm_rows = [
+        ["fresh key + 4 kB seal", format_duration(fresh_gcm["fresh_key_4k_s"]),
+         f"{fresh_gcm['stripe_builds_4k']} stripe builds"],
+        ["fresh key + 1 MB seal", format_duration(fresh_gcm["fresh_key_1m_s"]),
+         f"{fresh_gcm['stripe_builds_1m']} stripe builds"],
+    ]
+    for blocks, times in fresh_gcm["fresh_key_seal_s"].items():
+        gcm_rows.append([
+            f"fresh key + {blocks} blocks, scalar / striped",
+            f"{format_duration(times['scalar'])} / "
+            f"{format_duration(times['striped'])}",
+            "median; striped includes the build"])
+    gcm_rows.append([
+        "stripe build pays from", f"{fresh_gcm['stripes_pay_from_blocks']}"
+        " blocks", f"_VECTOR_MIN_BLOCKS = {fresh_gcm['vector_min_blocks']}"])
+    save_report("crypto_microbench", "\n".join([
+        format_table(
+            "P-256 fast paths vs naive reference (warm tables, best of "
+            f"{_ROUNDS})",
+            ["operation", "naive", "fast", "speedup"], rows,
+        ),
+        format_table(
+            "Fresh-key AES-GCM (cold subkey-table cache)",
+            ["operation", "time", "note"], gcm_rows,
+        ),
+    ]))
 
     save_json("BENCH_crypto", {
         "rounds": _ROUNDS,
         "naive_s": naive,
         "fast_s": fast,
         "speedup": speedups,
+        "gcm_fresh_key": fresh_gcm,
     })
 
     # Acceptance floor: the handshake-dominating verify and ECDH must be
@@ -129,3 +223,7 @@ def test_crypto_microbench():
     assert speedups["verify"] >= 3.0, speedups
     assert speedups["ecdh"] >= 3.0, speedups
     assert fast["handshake"] < naive["handshake"]
+    # Handshake-sized messages under a fresh key never build the stripe
+    # tables; every fresh 1 MB seal does, once.
+    assert fresh_gcm["stripe_builds_4k"] == 0, fresh_gcm
+    assert fresh_gcm["stripe_builds_1m"] == 3, fresh_gcm

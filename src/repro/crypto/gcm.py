@@ -31,7 +31,7 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Iterator, List
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -48,10 +48,12 @@ TAG_SIZE = 16
 #: vectorised gathers (see DESIGN.md §16 for the width trade-off).
 STRIPE_WIDTH = 64
 
-#: Minimum whole blocks in a single fold before the striped path engages
-#: (below one stripe the scalar loop is cheaper than the numpy dispatch,
-#: and small messages never pay the stripe-table build).
-_VECTOR_MIN_BLOCKS = STRIPE_WIDTH
+#: Minimum whole blocks in a single fold before it builds a subkey's
+#: stripe tables: the measured crossover of the stripe-table build against
+#: the scalar fold it replaces (see DESIGN.md §16). Handshake-sized
+#: messages stay below it and never pay the build. Once a subkey's stripe
+#: tables exist, any fold of at least one stripe uses them.
+_VECTOR_MIN_BLOCKS = 4096
 
 #: Whole blocks in one fold/keystream call before work is split across
 #: threads (numpy releases the GIL inside gathers). 16384 blocks = 256 KiB.
@@ -103,7 +105,8 @@ def _mult_by_x(value: int) -> int:
 
 
 def _gf_mult(x: int, y: int) -> int:
-    """Reference GF(2^128) multiplication (slow path, used to build tables)."""
+    """Reference GF(2^128) multiplication, bit by bit: the definition the
+    table builders are tested against."""
     z = 0
     v = x
     for i in range(128):
@@ -118,19 +121,23 @@ def _build_ghash_tables(h: int) -> List[List[int]]:
 
     ``tables[i][b]`` equals ``(b placed at byte position i) * h``, so a full
     product is 16 table lookups XORed together. Position 0 is the most
-    significant byte; moving one byte toward the least significant end
-    multiplies by x^8 in the field.
+    significant byte. Multiplication by ``h`` is linear over XOR, so each
+    row needs only its 8 single-bit products — ``h * x^d`` for the row's 8
+    bit degrees ``d``, walked with 128 successive :func:`_mult_by_x` steps
+    across all rows — and every other entry is ``row[bit | b] = row[b] ^
+    single``, filled from the low bit up (255 XORs per row).
     """
-    first = [_gf_mult(b << 120, h) for b in range(256)]
-    tables = [first]
-    for _ in range(15):
-        previous = tables[-1]
-        shifted = []
-        for value in previous:
-            for _ in range(8):
-                value = _mult_by_x(value)
-            shifted.append(value)
-        tables.append(shifted)
+    tables = []
+    v = h
+    for _ in range(16):
+        singles = []
+        for _ in range(8):  # degrees 8i .. 8i+7: byte bits 0x80 .. 0x01
+            singles.append(v)
+            v = _mult_by_x(v)
+        row = [0]
+        for single in reversed(singles):  # bit 0x01 first
+            row += [entry ^ single for entry in row]
+        tables.append(row)
     return tables
 
 
@@ -163,40 +170,46 @@ class _StripeTables:
         powers = [h]
         for _ in range(width - 1):
             powers.append(_mult_tables(powers[-1], scalar_tables))
+        # Walk the 128 single-bit products x^d * H^(k+1) for all powers k
+        # at once; singles[d] holds them as (hi, lo) uint64 halves.
         hi = np.array([p >> 64 for p in powers], dtype=np.uint64)
         lo = np.array([p & _MASK64 for p in powers], dtype=np.uint64)
-        # Walk x^bit * H^(k+1) for all powers k simultaneously; each byte
-        # value's product is the XOR of its set bits' single-bit products.
-        table = np.zeros((16, width, 256, 2), dtype=np.uint64)
-        byte_values = np.arange(256)
+        singles = np.empty((128, width, 2), dtype=np.uint64)
         r_hi = np.uint64(0xE1 << 56)
         one = np.uint64(1)
         shift63 = np.uint64(63)
-        for bit in range(128):
-            pos, lane = divmod(bit, 8)
-            matching = np.nonzero(byte_values & (1 << (7 - lane)))[0]
-            table[pos, :, matching, 0] ^= hi[None, :]
-            table[pos, :, matching, 1] ^= lo[None, :]
+        for d in range(128):
+            singles[d, :, 0] = hi
+            singles[d, :, 1] = lo
             lsb = lo & one
             lo = (lo >> one) | ((hi & one) << shift63)
             hi = (hi >> one) ^ (lsb * r_hi)
-        self.gather = [
-            np.ascontiguousarray(table[pos].reshape(width * 256, 2))
-            .view(np.complex128).reshape(width * 256)
-            for pos in range(16)
-        ]
-        self.horner = [
-            [(int(row[b, 0]) << 64) | int(row[b, 1]) for b in range(256)]
-            for row in table[:, width - 1]
-        ]
+        # By linearity entry ``b | bit`` is entry ``b`` XOR the single for
+        # ``bit``. Each position is filled byte-major in one reused 256 KiB
+        # scratch, so every XOR runs over contiguous (W, 2) rows, and is
+        # then transposed into the (power, byte) gather layout, moving each
+        # 128-bit product as one complex128.
+        lanes = singles.reshape(16, 8, width, 2)  # lane 0 = byte bit 0x80
+        gather = np.empty((16, width, 256), dtype=np.complex128)
+        scratch = np.empty((256, width, 2), dtype=np.uint64)
+        scratch[0] = 0
+        by_byte = scratch.view(np.complex128).reshape(256, width)
+        for pos in range(16):
+            for k in range(8):
+                size = 1 << k
+                np.bitwise_xor(scratch[:size], lanes[pos, 7 - k],
+                               out=scratch[size:2 * size])
+            gather[pos] = by_byte.T
+        self.gather = [gather[pos].reshape(width * 256) for pos in range(16)]
+        self.horner = _build_ghash_tables(powers[-1])
 
 
 class _SubkeyTables:
     """All per-subkey state: scalar tables eagerly, stripe tables lazily.
 
-    Stripe tables cost ~4 MiB and tens of milliseconds, so they are only
-    built the first time a bulk (>= one stripe) fold actually runs — fresh
-    session keys sealing small payloads never pay for them.
+    Stripe tables cost 4 MiB and a few milliseconds, so they are only
+    built the first time a fold of at least :data:`_VECTOR_MIN_BLOCKS`
+    runs — fresh session keys sealing small payloads never pay for them.
     """
 
     __slots__ = ("h", "scalar", "_stripes", "_lock")
@@ -207,14 +220,18 @@ class _SubkeyTables:
         self._stripes = None
         self._lock = threading.Lock()
 
-    def stripes(self) -> _StripeTables:
+    def stripes(self, nblocks: int) -> Optional[_StripeTables]:
+        """Stripe tables for a fold of ``nblocks`` blocks, or ``None`` when
+        they are not built yet and the fold is too small to pay for them."""
         tables = self._stripes
-        if tables is None:
+        if tables is None and nblocks >= _VECTOR_MIN_BLOCKS:
             with self._lock:
                 tables = self._stripes
                 if tables is None:
                     tables = _StripeTables(self.h, self.scalar)
                     self._stripes = tables
+                    with _table_cache_lock:
+                        _table_stats["stripe_builds"] += 1
         return tables
 
 
@@ -224,6 +241,7 @@ class _SubkeyTables:
 _TABLE_CACHE_CAPACITY = 16
 _table_cache: "OrderedDict[int, _SubkeyTables]" = OrderedDict()
 _table_cache_lock = threading.Lock()
+_table_stats = {"hits": 0, "misses": 0, "stripe_builds": 0}
 
 
 def _tables_for_subkey(h: int) -> _SubkeyTables:
@@ -231,7 +249,9 @@ def _tables_for_subkey(h: int) -> _SubkeyTables:
         entry = _table_cache.get(h)
         if entry is not None:
             _table_cache.move_to_end(h)
+            _table_stats["hits"] += 1
             return entry
+        _table_stats["misses"] += 1
     entry = _SubkeyTables(h)  # built outside the lock; ties pick one winner
     with _table_cache_lock:
         winner = _table_cache.setdefault(h, entry)
@@ -239,6 +259,21 @@ def _tables_for_subkey(h: int) -> _SubkeyTables:
         while len(_table_cache) > _TABLE_CACHE_CAPACITY:
             _table_cache.popitem(last=False)
     return winner
+
+
+def clear_table_cache() -> None:
+    """Drop every cached subkey table and zero the counters."""
+    with _table_cache_lock:
+        _table_cache.clear()
+        for name in _table_stats:
+            _table_stats[name] = 0
+
+
+def table_cache_info() -> Dict[str, int]:
+    """Subkey-table cache occupancy and counters since the last clear."""
+    with _table_cache_lock:
+        return {"entries": len(_table_cache),
+                "capacity": _TABLE_CACHE_CAPACITY, **_table_stats}
 
 
 # --- worker pool (bulk folds and keystreams on multi-core hosts) ---------------
@@ -306,6 +341,7 @@ class _Ghash:
 
 
 _POWER_BASE = np.empty(0, dtype=np.intp)
+_power_base_lock = threading.Lock()
 
 
 def _power_base(n: int) -> np.ndarray:
@@ -313,14 +349,20 @@ def _power_base(n: int) -> np.ndarray:
 
     Block ``j`` of a stripe multiplies ``H^(W-j)`` = ``powers[W-1-j]``; the
     gather index is ``(W-1-j) << 8 | byte``. The pattern repeats every
-    stripe, so one cached tile serves every fold.
+    stripe, so one cached tile serves every fold. The slice is taken from
+    a local reference: a concurrent fold may swap the global, but only
+    ever for a longer tile.
     """
     global _POWER_BASE
-    if _POWER_BASE.size < n:
+    base = _POWER_BASE
+    if base.size < n:
         reps = -(-n // STRIPE_WIDTH)
         pattern = (STRIPE_WIDTH - 1 - np.arange(STRIPE_WIDTH, dtype=np.intp)) << 8
-        _POWER_BASE = np.tile(pattern, reps)
-    return _POWER_BASE[:n]
+        base = np.tile(pattern, reps)
+        with _power_base_lock:
+            if _POWER_BASE.size < base.size:
+                _POWER_BASE = base
+    return base[:n]
 
 
 def _column_products(gather: List[np.ndarray], mat: np.ndarray,
@@ -389,15 +431,20 @@ def _fold_striped(state: int, tables: _StripeTables, mat: np.ndarray,
 
 def _fold_scalar(state: int, tables: List[List[int]], view,
                  start_block: int, end_block: int) -> int:
-    """Reference per-block fold over full blocks of a memoryview."""
-    for index in range(start_block, end_block):
-        offset = index * BLOCK_SIZE
-        block = int.from_bytes(view[offset : offset + BLOCK_SIZE], "big")
-        x = state ^ block
-        acc = 0
-        for i in range(16):
-            acc ^= tables[i][(x >> (8 * (15 - i))) & 0xFF]
-        state = acc
+    """Per-block fold over full blocks of a memoryview: 16 table lookups a
+    block, indexed by the bytes of ``state ^ block`` unpacked at once."""
+    t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = \
+        tables
+    from_bytes = int.from_bytes
+    for offset in range(start_block * BLOCK_SIZE, end_block * BLOCK_SIZE,
+                        BLOCK_SIZE):
+        (b0, b1, b2, b3, b4, b5, b6, b7,
+         b8, b9, b10, b11, b12, b13, b14, b15) = (
+            state ^ from_bytes(view[offset:offset + BLOCK_SIZE], "big")
+        ).to_bytes(BLOCK_SIZE, "big")
+        state = (t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3] ^ t4[b4] ^ t5[b5]
+                 ^ t6[b6] ^ t7[b7] ^ t8[b8] ^ t9[b9] ^ t10[b10] ^ t11[b11]
+                 ^ t12[b12] ^ t13[b13] ^ t14[b14] ^ t15[b15])
     return state
 
 
@@ -442,18 +489,20 @@ class _GhashState:
 
     def _fold_blocks(self, view, nblocks: int) -> int:
         state = self._state
-        if self._fast and nblocks >= _VECTOR_MIN_BLOCKS:
-            stripes = self._tables.stripes()
-            nstripes = nblocks // STRIPE_WIDTH
-            full = nstripes * STRIPE_WIDTH
-            mat = np.frombuffer(view, dtype=np.uint8,
-                                count=full * BLOCK_SIZE).reshape(full, 16)
-            state = _fold_striped(state, stripes, mat, nstripes)
-            if full != nblocks:
-                state = _fold_scalar(state, self._tables.scalar, view,
-                                     full, nblocks)
-            return state
-        return _fold_scalar(state, self._tables.scalar, view, 0, nblocks)
+        stripes = None
+        if self._fast and nblocks >= STRIPE_WIDTH:
+            stripes = self._tables.stripes(nblocks)
+        if stripes is None:
+            return _fold_scalar(state, self._tables.scalar, view, 0, nblocks)
+        nstripes = nblocks // STRIPE_WIDTH
+        full = nstripes * STRIPE_WIDTH
+        mat = np.frombuffer(view, dtype=np.uint8,
+                            count=full * BLOCK_SIZE).reshape(full, 16)
+        state = _fold_striped(state, stripes, mat, nstripes)
+        if full != nblocks:
+            state = _fold_scalar(state, self._tables.scalar, view,
+                                 full, nblocks)
+        return state
 
     def close_segment(self) -> None:
         if self._partial:

@@ -11,7 +11,7 @@ cases; boundary sizes are enumerated exhaustively.
 import hashlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.crypto import gcm
 from repro.crypto.gcm import (
@@ -27,17 +27,27 @@ _KEY = b"\x9a" * 16
 _IV = b"\x5b" * 12
 
 # Sizes around every algorithmic boundary: empty, sub-block, block edges,
-# the scalar->striped threshold (_VECTOR_MIN_BLOCKS blocks), one and two
-# stripe widths, the threading threshold, and megabyte scale (3 MB is the
-# largest point of Fig. 7).
+# one and two stripe widths (the striped path once tables exist), the
+# stripe-build threshold (_VECTOR_MIN_BLOCKS blocks), the threading
+# threshold, and megabyte scale (3 MB is the largest point of Fig. 7).
 _EDGE_SIZES = [
     0, 1, 15, 16, 17,
+    STRIPE_WIDTH * _BLOCK - 1,
+    STRIPE_WIDTH * _BLOCK,
+    STRIPE_WIDTH * _BLOCK + 1,
+    STRIPE_WIDTH * _BLOCK * 2 + 7,
+    4096,
     _VECTOR_MIN_BLOCKS * _BLOCK - 1,
     _VECTOR_MIN_BLOCKS * _BLOCK,
     _VECTOR_MIN_BLOCKS * _BLOCK + 1,
-    STRIPE_WIDTH * _BLOCK * 2 + 7,
-    4096,
 ]
+#: Hypothesis sizes are drawn below and above the stripe-build threshold
+#: (up to twice it), so examples fall on both sides of it.
+_THRESHOLD_SIZE = _VECTOR_MIN_BLOCKS * _BLOCK
+_MAX_DIFFERENTIAL_SIZE = 2 * _THRESHOLD_SIZE
+_straddling_sizes = st.one_of(
+    st.integers(0, _THRESHOLD_SIZE - 1),
+    st.integers(_THRESHOLD_SIZE, _MAX_DIFFERENTIAL_SIZE))
 _BULK_SIZES = [1 << 20, 3 << 20]
 
 
@@ -51,6 +61,16 @@ def _material(size: int, label: bytes = b"") -> bytes:
     return bytes(out[:size])
 
 
+def _cipher(fresh: bool, seed: int) -> AesGcm:
+    """A cipher whose stripe tables are absent (a fresh key, as every
+    handshake session has) or already built (a cached key)."""
+    if fresh:
+        return AesGcm(hashlib.sha256(seed.to_bytes(4, "big")).digest()[:16])
+    cipher = AesGcm(_KEY)
+    cipher._tables.stripes(_VECTOR_MIN_BLOCKS)
+    return cipher
+
+
 def _both_paths(fn):
     result = fn()
     with gcm.reference_paths():
@@ -60,14 +80,17 @@ def _both_paths(fn):
 
 @pytest.mark.parametrize("size", _EDGE_SIZES)
 def test_seal_matches_reference_at_boundaries(size):
-    cipher = AesGcm(_KEY)
     plaintext = _material(size)
     aad = _material(29, b"aad")
-    fast, reference = _both_paths(lambda: cipher.seal(_IV, plaintext, aad))
-    assert fast == reference
-    opened, opened_ref = _both_paths(lambda: cipher.open(_IV, fast, aad))
-    assert opened == plaintext
-    assert opened_ref == plaintext
+    for fresh in (True, False):
+        cipher = _cipher(fresh, size)
+        fast, reference = _both_paths(
+            lambda: cipher.seal(_IV, plaintext, aad))
+        assert fast == reference
+        opened, opened_ref = _both_paths(
+            lambda: cipher.open(_IV, fast, aad))
+        assert opened == plaintext
+        assert opened_ref == plaintext
 
 
 @pytest.mark.parametrize("size", _BULK_SIZES)
@@ -101,12 +124,13 @@ def test_all_tamper_positions_rejected_on_both_paths():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    size=st.integers(0, 6 * STRIPE_WIDTH * _BLOCK),
+    size=_straddling_sizes,
     aad_size=st.integers(0, 64),
     seed=st.integers(0, 2**32 - 1),
+    fresh=st.booleans(),
 )
-def test_seal_differential(size, aad_size, seed):
-    cipher = AesGcm(_KEY)
+def test_seal_differential(size, aad_size, seed, fresh):
+    cipher = _cipher(fresh, seed)
     label = seed.to_bytes(4, "big")
     plaintext = _material(size, label)
     aad = _material(aad_size, label + b"aad")
@@ -117,13 +141,18 @@ def test_seal_differential(size, aad_size, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    size=st.integers(0, 3 * STRIPE_WIDTH * _BLOCK),
-    widths=st.lists(st.integers(1, 700), min_size=1, max_size=6),
+    size=_straddling_sizes,
+    widths=st.lists(
+        st.one_of(st.integers(1, 700),
+                  st.integers(700, _MAX_DIFFERENTIAL_SIZE)),
+        min_size=1, max_size=6),
     seed=st.integers(0, 2**32 - 1),
+    fresh=st.booleans(),
 )
-def test_stream_chunking_differential(size, widths, seed):
+def test_stream_chunking_differential(size, widths, seed, fresh):
     """Any chunking of seal/open streams equals the one-shot result."""
-    cipher = AesGcm(_KEY)
+    assume(size <= 64 * max(widths))  # bounds the chunk count per example
+    cipher = _cipher(fresh, seed)
     plaintext = _material(size, seed.to_bytes(4, "big"))
     sealed = cipher.seal(_IV, plaintext)
 
@@ -177,3 +206,16 @@ def test_tamper_differential(size, tamper, seed):
         with gcm.reference_paths():
             with pytest.raises(AuthenticationError):
                 run()
+
+
+def test_handshake_sized_seal_skips_stripe_build():
+    """A 4 kB msg3 under a fresh session key stays on the scalar fold and
+    never builds the 4 MiB stripe tables; a bulk fold still does."""
+    cipher = _cipher(True, 0xC0FFEE)
+    assert cipher._tables._stripes is None
+    plaintext = _material(4096)
+    sealed = cipher.seal(_IV, plaintext)
+    assert cipher.open(_IV, sealed) == plaintext
+    assert cipher._tables._stripes is None
+    cipher.seal(_IV, _material(_VECTOR_MIN_BLOCKS * _BLOCK))
+    assert cipher._tables._stripes is not None
