@@ -14,6 +14,13 @@ a 1 MB seal. It also times the parts of the stripe-table crossover (the
 build, and the scalar and striped fold per block) that
 ``gcm._VECTOR_MIN_BLOCKS`` is set from.
 
+A third table times the CTR keystream, the bulk of every msg3 seal and
+open: ``Aes128.ctr_keystream_into`` (whole-state rounds, counter-mode
+caching of rounds 1-2) against the reference ``ctr_keystream``, median of
+interleaved rounds, at 1, 256, 8192 and 65536 blocks. It also finds the
+request size up to which per-block ``encrypt_block`` calls beat the
+vectorised path, which ``aes._SCALAR_MAX_BLOCKS`` is set from.
+
 Writes ``bench_results/crypto_microbench.txt`` (human-readable) and
 ``bench_results/BENCH_crypto.json`` (machine-readable, for CI artifact
 diffing). The ``>= 3x`` assertions on verify and ECDH are the PR's
@@ -27,18 +34,22 @@ import itertools
 import statistics
 import time
 
+import numpy as np
+
 from repro.bench import format_duration, format_table, save_json, save_report
 from repro.core import VerifierPolicy
 from repro.core.attester import Attester
 from repro.core.measurement import measure_bytes
 from repro.core.verifier import Verifier
-from repro.crypto import ec, ecdh, ecdsa, gcm
+from repro.crypto import aes, ec, ecdh, ecdsa, gcm
 
 _ROUNDS = 12
 _MESSAGE = b"watz evidence body for the microbench"
 _GCM_IV = b"\x00" * 12
 _HANDSHAKE_MSG3 = 4096
 _BULK_MSG3 = 1 << 20
+_KEYSTREAM_BLOCKS = (1, 256, 8192, 65536)
+_CROSSOVER_BLOCKS = range(1, 17)
 
 
 def _private_scalar(label: bytes) -> int:
@@ -153,6 +164,46 @@ def _gcm_crossover() -> dict:
     }
 
 
+def _interleaved_medians(candidates: dict, rounds: int) -> dict:
+    """Median wall time of each callable, run alternately ``rounds`` times."""
+    samples = {name: [] for name in candidates}
+    for _ in range(rounds):
+        for name, callable_ in candidates.items():
+            start = time.perf_counter()
+            callable_()
+            samples[name].append(time.perf_counter() - start)
+    return {name: statistics.median(times) for name, times in samples.items()}
+
+
+def _keystream_suite() -> dict:
+    """Fast keystream against the reference, and the scalar crossover."""
+    cipher = aes.Aes128(hashlib.sha256(b"keystream key").digest()[:16])
+    sizes = {}
+    for blocks in _KEYSTREAM_BLOCKS:
+        out = np.empty(blocks * 16, dtype=np.uint8)
+        sizes[blocks] = _interleaved_medians({
+            "fast": lambda: cipher.ctr_keystream_into(_GCM_IV, 2, out),
+            "reference": lambda: cipher.ctr_keystream(_GCM_IV, 2, blocks),
+        }, rounds=21 if blocks <= 8192 else 5)
+    crossover = {}
+    for blocks in _CROSSOVER_BLOCKS:
+        out = np.empty(blocks * 16, dtype=np.uint8)
+        crossover[blocks] = _interleaved_medians({
+            "scalar": lambda: [
+                cipher.encrypt_block(_GCM_IV + (2 + i).to_bytes(4, "big"))
+                for i in range(blocks)],
+            "vector": lambda: cipher._ctr_vector_into(_GCM_IV, 2, out),
+        }, rounds=31)
+    scalar_wins = [blocks for blocks, times in crossover.items()
+                   if times["scalar"] < times["vector"]]
+    return {
+        "keystream_s": sizes,
+        "crossover_s": crossover,
+        "scalar_pays_up_to_blocks": max(scalar_wins, default=0),
+        "scalar_max_blocks": aes._SCALAR_MAX_BLOCKS,
+    }
+
+
 def _gcm_suite() -> dict:
     gcm.clear_table_cache()
     suite = {
@@ -198,6 +249,16 @@ def test_crypto_microbench():
     gcm_rows.append([
         "stripe build pays from", f"{fresh_gcm['stripes_pay_from_blocks']}"
         " blocks", f"_VECTOR_MIN_BLOCKS = {fresh_gcm['vector_min_blocks']}"])
+    keystream = _keystream_suite()
+    keystream_rows = [
+        [f"{blocks} blocks", format_duration(times["reference"]),
+         format_duration(times["fast"]),
+         f"{times['reference'] / times['fast']:.1f}x"]
+        for blocks, times in keystream["keystream_s"].items()]
+    keystream_rows.append([
+        "scalar cipher pays up to",
+        f"{keystream['scalar_pays_up_to_blocks']} blocks", "",
+        f"_SCALAR_MAX_BLOCKS = {keystream['scalar_max_blocks']}"])
     save_report("crypto_microbench", "\n".join([
         format_table(
             "P-256 fast paths vs naive reference (warm tables, best of "
@@ -208,6 +269,11 @@ def test_crypto_microbench():
             "Fresh-key AES-GCM (cold subkey-table cache)",
             ["operation", "time", "note"], gcm_rows,
         ),
+        format_table(
+            "AES-CTR keystream, fast vs reference (median of interleaved "
+            "rounds)",
+            ["request", "reference", "fast", "speedup"], keystream_rows,
+        ),
     ]))
 
     save_json("BENCH_crypto", {
@@ -216,6 +282,7 @@ def test_crypto_microbench():
         "fast_s": fast,
         "speedup": speedups,
         "gcm_fresh_key": fresh_gcm,
+        "ctr_keystream": keystream,
     })
 
     # Acceptance floor: the handshake-dominating verify and ECDH must be

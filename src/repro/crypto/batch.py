@@ -188,7 +188,7 @@ def _prepare(index: int, public: ec.Point, message: bytes,
         # expensive way.
         return SignatureError("signature does not verify")
     z = ecdsa._bits2int(sha256(message))
-    s_inv = pow(s, ec.N - 2, ec.N)
+    s_inv = pow(s, -1, ec.N)
     return _Prepared(index, public, message, signature,
                      z * s_inv % ec.N, r * s_inv % ec.N, r_hat)
 

@@ -159,7 +159,7 @@ def _from_jacobian(point: _Jacobian) -> Point:
     x, y, z = point
     if z == 0:
         return INFINITY
-    z_inv = pow(z, P - 2, P)
+    z_inv = pow(z, -1, P)
     z_inv2 = z_inv * z_inv % P
     return Point(x * z_inv2 % P, y * z_inv2 * z_inv % P)
 
@@ -241,13 +241,17 @@ def _batch_normalize(points: List[_Jacobian]) -> List[Tuple[int, int]]:
     """Convert many Jacobian points to affine with ONE field inversion.
 
     Montgomery's trick: invert the product of all z's, then peel per-point
-    inverses off with two multiplications each."""
+    inverses off with two multiplications each. A point at infinity
+    (z = 0) has no affine form and makes the product zero, so it raises
+    :class:`CryptoError` before the inversion."""
     prefix: List[int] = []
     acc = 1
     for _x, _y, z in points:
         acc = acc * z % P
         prefix.append(acc)
-    inv = pow(acc, P - 2, P)
+    if acc == 0:
+        raise CryptoError("cannot normalise the point at infinity")
+    inv = pow(acc, -1, P)
     affine: List[Tuple[int, int]] = [(0, 0)] * len(points)
     for index in range(len(points) - 1, -1, -1):
         x, y, z = points[index]

@@ -142,7 +142,7 @@ def sign(private: int, message: bytes) -> bytes:
         if r == 0:
             k = (k + 1) % ec.N or 1
             continue
-        k_inv = pow(k, ec.N - 2, ec.N)
+        k_inv = pow(k, -1, ec.N)
         s = k_inv * (z + r * private) % ec.N
         if s == 0:
             k = (k + 1) % ec.N or 1
@@ -172,7 +172,7 @@ def verify(public: ec.Point, message: bytes, signature: bytes) -> None:
     if not (1 <= r < ec.N and 1 <= s < ec.N):
         raise SignatureError("signature scalars out of range")
     z = _bits2int(digest)
-    s_inv = pow(s, ec.N - 2, ec.N)
+    s_inv = pow(s, -1, ec.N)
     u1 = z * s_inv % ec.N
     u2 = r * s_inv % ec.N
     # Shamir's trick: one joint double-scalar multiplication instead of

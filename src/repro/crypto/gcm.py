@@ -370,16 +370,18 @@ def _column_products(gather: List[np.ndarray], mat: np.ndarray,
     """XOR together all 16 byte-position products of each block into ``out``.
 
     One batched gather per byte position; products travel as complex128 so
-    hi and lo 64-bit halves move in a single take.
+    hi and lo 64-bit halves move in a single take. Every index is in range,
+    so ``mode="wrap"`` gives the default's result without its copy of
+    ``out`` through a buffer.
     """
     idx = np.empty(len(mat), dtype=np.intp)
     np.add(base, mat[:, 0], out=idx)
-    np.take(gather[0], idx, out=out)
+    np.take(gather[0], idx, out=out, mode="wrap")
     scratch = np.empty_like(out)
     acc = out.view(np.uint64)
     for pos in range(1, 16):
         np.add(base, mat[:, pos], out=idx)
-        np.take(gather[pos], idx, out=scratch)
+        np.take(gather[pos], idx, out=scratch, mode="wrap")
         acc ^= scratch.view(np.uint64)
 
 

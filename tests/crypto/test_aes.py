@@ -4,8 +4,10 @@ import binascii
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.crypto.aes import Aes128, _SBOX
+from repro.crypto.aes import (
+    _SBOX, _SCALAR_MAX_BLOCKS, _SLAB_BLOCKS, Aes128)
 from repro.errors import CryptoError
 
 h = binascii.unhexlify
@@ -89,3 +91,92 @@ def test_different_keys_differ():
     block = b"\x00" * 16
     assert Aes128(b"\x01" * 16).encrypt_block(block) != \
         Aes128(b"\x02" * 16).encrypt_block(block)
+
+
+# -- vectorised CTR keystream against the scalar cipher -------------------------
+
+
+def _counter_block(prefix: bytes, counter: int) -> bytes:
+    return prefix + (counter & 0xFFFFFFFF).to_bytes(4, "big")
+
+
+def _oracle_indices(start: int, nblocks: int):
+    """Blocks checked one by one against ``encrypt_block``: every block
+    of requests up to two slabs, else both ends and every block next to
+    a 2^16 counter boundary (where a round-2 table segment ends)."""
+    if nblocks <= 2 * _SLAB_BLOCKS + 1:
+        return range(nblocks)
+    picked = {0, 1, nblocks - 2, nblocks - 1}
+    first_boundary = -start % 0x10000
+    for boundary in range(first_boundary, nblocks, 0x10000):
+        picked.update(i for i in range(boundary - 2, boundary + 2)
+                      if 0 <= i < nblocks)
+    return sorted(picked)
+
+
+def _assert_keystream_matches(cipher: Aes128, prefix: bytes, start: int,
+                              nblocks: int) -> None:
+    out = np.empty(nblocks * 16, dtype=np.uint8)
+    cipher.ctr_keystream_into(prefix, start, out)
+    got = out.tobytes()
+    for index in _oracle_indices(start, nblocks):
+        assert got[index * 16:(index + 1) * 16] == cipher.encrypt_block(
+            _counter_block(prefix, start + index)), (hex(start), index)
+    if nblocks > 2 * _SLAB_BLOCKS + 1:
+        # The unsampled middle: the vectorised reference oracle, itself
+        # pinned to encrypt_block by test_vectorised_blocks_match_scalar.
+        assert got == cipher.ctr_keystream(prefix, start, nblocks)
+
+
+_STARTS = st.one_of(
+    st.integers(0, 0xFFFFFFFF),
+    st.builds(lambda high, delta: ((high << 16) + delta) & 0xFFFFFFFF,
+              st.integers(0, 0xFFFF), st.integers(-300, 300)),
+    st.integers(0xFFFFFFFF - 300, 0xFFFFFFFF),
+)
+_SIZES = st.one_of(
+    st.integers(1, 2 * _SCALAR_MAX_BLOCKS + 1),
+    st.integers(255, 257),
+    st.integers(_SLAB_BLOCKS - 1, _SLAB_BLOCKS + 1),
+    st.integers(0x10000 + 1, 0x10000 + 300),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(start=_STARTS, nblocks=_SIZES, key=st.binary(min_size=16, max_size=16),
+       prefix=st.binary(min_size=12, max_size=12))
+def test_ctr_keystream_into_matches_scalar_cipher(start, nblocks, key,
+                                                  prefix):
+    _assert_keystream_matches(Aes128(key), prefix, start, nblocks)
+
+
+@pytest.mark.parametrize("start,nblocks", [
+    (0xFFFF - 1, _SCALAR_MAX_BLOCKS + 1),     # 2^16 crossing, smallest vector
+    (0x10000 - 300, _SLAB_BLOCKS + 1),        # crossing inside the first slab
+    (0x1FFFF - _SLAB_BLOCKS + 1, 2 * _SLAB_BLOCKS),  # crossing at a slab edge
+    (0xFFFFFFFF - 1, 257),                    # GCM inc32 wrap
+    (0xFFFFFFFF - 70, 0x10000 + 200),         # both wraps in one request
+    (2, 0x10000 + 1),                         # GCM's first counter
+], ids=["inc16-small", "inc16-slab", "inc16-slab-edge", "inc32",
+        "inc32-and-inc16", "gcm-start"])
+def test_ctr_keystream_into_segment_boundaries(start, nblocks):
+    _assert_keystream_matches(Aes128(bytes(range(16))), b"\x5a" * 12,
+                              start, nblocks)
+
+
+@pytest.mark.parametrize("nblocks", [0, 1, _SCALAR_MAX_BLOCKS,
+                                     _SCALAR_MAX_BLOCKS + 1])
+def test_ctr_keystream_into_scalar_crossover(nblocks):
+    cipher = Aes128(b"\x07" * 16)
+    out = np.full(nblocks * 16 + 5, 0xEE, dtype=np.uint8)
+    cipher.ctr_keystream_into(b"\x01" * 12, 0xFFFFFFFF, out)
+    assert out.tobytes()[:nblocks * 16] == b"".join(
+        cipher.encrypt_block(_counter_block(b"\x01" * 12, 0xFFFFFFFF + i))
+        for i in range(nblocks))
+    assert out.tobytes()[nblocks * 16:] == b"\xee" * 5  # partial tail kept
+
+
+def test_ctr_keystream_into_rejects_bad_prefix():
+    with pytest.raises(CryptoError):
+        Aes128(b"\x01" * 16).ctr_keystream_into(
+            b"short", 0, np.empty(64, dtype=np.uint8))

@@ -165,6 +165,19 @@ def test_malformed_items_get_per_signature_errors(crypto_path):
     _assert_matches(items)
 
 
+@pytest.mark.parametrize("s", [0, ec.N], ids=["s=0", "s=N"])
+def test_non_invertible_s_rejected_like_reference(crypto_path, s):
+    # s = 0 and s = N have no inverse mod N: rejected by the range check
+    # before the batch inverts s, with the per-signature error.
+    good = _signed(9, b"inv")
+    forged = (good[0], b"inv", good[2][:32] + s.to_bytes(32, "big"))
+    items = [good, forged, _signed(10, b"inv2")]
+    _assert_matches(items)
+    verdicts = verify_batch(items)
+    assert verdicts[0] is None and verdicts[2] is None
+    assert isinstance(verdicts[1], SignatureError)
+
+
 def test_wraparound_r_falls_back_per_item(crypto_path):
     # r with r + n < p is the x-wraparound ambiguity: the batch must
     # step it out to the per-item path rather than guess the lift.

@@ -163,6 +163,16 @@ def test_precompute_rejects_infinity():
         ec.precompute_public_key(ec.INFINITY)
 
 
+def test_batch_normalize_rejects_point_at_infinity():
+    # Montgomery's trick inverts the product of all z's; one z = 0 makes
+    # it zero, which has no inverse. That must be a typed error.
+    finite = ec._to_jacobian(ec.scalar_base_mult(7))
+    assert ec._batch_normalize([finite]) == [
+        (ec.scalar_base_mult(7).x, ec.scalar_base_mult(7).y)]
+    with pytest.raises(CryptoError, match="point at infinity"):
+        ec._batch_normalize([finite, ec._J_INFINITY])
+
+
 def test_key_table_cache_is_bounded():
     ec.clear_key_table_cache()
     capacity = ec.key_table_cache_info()["capacity"]

@@ -74,6 +74,15 @@ def test_verify_rejects_zero_scalars():
         ecdsa.verify(_KEYPAIR.public, b"m", b"\x00" * 64)
 
 
+@pytest.mark.parametrize("s", [0, ec.N], ids=["s=0", "s=N"])
+def test_verify_rejects_non_invertible_s(s):
+    # s has no inverse mod N: the range check must reject it before the
+    # inversion, with the typed error and not a bare ValueError.
+    r = ecdsa.sign(_D, b"m")[:32]
+    with pytest.raises(SignatureError, match="out of range"):
+        ecdsa.verify(_KEYPAIR.public, b"m", r + s.to_bytes(32, "big"))
+
+
 def test_is_valid_boolean_wrapper():
     signature = ecdsa.sign(_D, b"m")
     assert ecdsa.is_valid(_KEYPAIR.public, b"m", signature)
