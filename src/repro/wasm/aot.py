@@ -23,9 +23,13 @@ Compilation strategy:
   Trapping operations (loads, stores, integer division, float-to-int
   truncation, indirect calls) are never deferred, preserving the spec's
   trap ordering;
-* structured control lowers to ``while True:`` capsules; a branch sets the
-  target label id in ``_br`` and breaks, and every construct's epilogue
-  either consumes the branch or keeps unwinding;
+* structured control lowers to ``while True:`` capsules only where a
+  branch needs one (:func:`_plan_control`): a branch crossing no capsule
+  is a plain ``continue``/``break``; any other sets ``_br`` to the target
+  label and breaks until the target's epilogue consumes it. Opt level 0
+  and the profile collector keep a capsule, dispatch and epilogue for
+  every construct: the original lowering, byte for byte;
+* at opt level 3 counted-loop capsules become ``for`` loops as they close;
 * branches to the function frame compile to direct ``return`` statements;
 * dead code after an unconditional transfer is skipped entirely.
 """
@@ -33,7 +37,6 @@ Compilation strategy:
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from contextlib import contextmanager
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
@@ -504,15 +507,24 @@ class _Emitter:
 class _Frame:
     """One open structured construct during compilation."""
 
-    __slots__ = ("kind", "label", "entry_height", "arity", "top_level")
+    __slots__ = ("kind", "label", "entry_height", "arity", "capsule",
+                 "dispatch", "unwind", "continues")
 
     def __init__(self, kind: int, label: int, entry_height: int,
-                 arity: int, top_level: bool) -> None:
+                 arity: int, top_level: bool, start: int,
+                 plan: "_ControlPlan") -> None:
         self.kind = kind
         self.label = label
         self.entry_height = entry_height
         self.arity = arity
-        self.top_level = top_level
+        reference = plan.reference
+        self.capsule = reference or start in plan.capsules
+        self.dispatch = reference or start in plan.dispatched
+        self.unwind = not top_level if reference \
+            else start in plan.unwinds
+        #: `continue`s emitted to this loop (the o3 `for` form needs the
+        #: final back edge to be the only one).
+        self.continues = 0
 
 
 class _LoopCtx:
@@ -626,174 +638,98 @@ def _const_source(value) -> str:
     return str(value)
 
 
-# -- counted-loop shape conversion (opt level 3) -----------------------------
-#
-# A profile-compiled body rewrites counted-loop capsules
-#
-#     while True:  # loop L{n}          _fr{k} = range(l{v}, STOP[, STEP])
-#      while True:                      for l{v} in _fr{k}:
-#       pass                               BODY          (dedented once)
-#       if not (l{v} < STOP):     ==>   else:
-#        GUARD-EXIT                        if _fr{k}:
-#       BODY                                l{v} = l{v} + STEP
-#       l{v} = l{v} + STEP                 GUARD-EXIT    (sans `break`)
-#       continue
-#       break
-#      <exact epilogue>
-#
-# into Python `for` loops over a `range`, eliminating the explicit guard
-# test and increment per iteration. The rewrite is Python-to-Python and
-# semantics-exact: `range(start, stop, step)` iterates precisely while
-# `v < stop` with `v += step` on unbounded ints, a `break` inside BODY
-# (every `_br = K; break` exit, which skips the `else`) leaves `l{v}` at
-# its current value exactly as breaking the capsule did, and the `else`
-# clause reconstructs the first-failing induction value (`last + step`
-# when the range was non-empty, the untouched entry value otherwise)
-# before running the guard's original branch transfer. Conversion bails
-# — leaving the capsule untouched — whenever the shape is not exact: a
-# masked increment, a non-plain comparison (sign wrappers), any second
-# write to the induction local or to a local bound, or any `continue`
-# owned by the capsule other than the final backedge (a conditional
-# `br_if 0` re-entry must keep capsule form, since `continue` in a `for`
-# would run the increment the branch is required to skip).
+# -- control-flow pre-pass ----------------------------------------------------
 
-_FOR_HEAD = re.compile(r"while True:  # loop L(\d+)$")
-_FOR_GUARD = re.compile(r"if not \((l\d+) (<|<=) (l\d+|h\d+|-?\d+)\):$")
-_FOR_STEP = re.compile(r"(l\d+) = (l\d+) \+ (\d+)$")
+#: How one branch lowers (see :func:`_plan_control`).
+_BREAK, _CONTINUE, _DISPATCH = range(3)
+
+#: The opcodes the control pre-pass looks at; it skips all others.
+_CONTROL_OPS = frozenset((op.BLOCK, op.LOOP, op.IF, op.ELSE, op.END, op.BR,
+                          op.BR_IF, op.BR_TABLE, op.RETURN, op.UNREACHABLE))
+
+
+class _ControlPlan:
+    """Which constructs (by instruction index) get a capsule, are a
+    ``_br`` dispatch target, or are crossed by one (``unwinds``); ``kinds``
+    maps ``(branch index, depth)`` to its lowering. The reference plan
+    needs everything and dispatches every branch but a depth-0 one."""
+
+    __slots__ = ("reference", "capsules", "dispatched", "unwinds", "kinds")
+
+    def __init__(self, reference: bool) -> None:
+        self.reference = reference
+        self.capsules: set = set()
+        self.dispatched: set = set()
+        self.unwinds: set = set()
+        self.kinds: Dict[tuple, int] = {}
+
+    def kind(self, index: int, depth: int, target: "_Frame") -> int:
+        if not self.reference:
+            return self.kinds[(index, depth)]
+        if depth:
+            return _DISPATCH
+        return _CONTINUE if target.kind == op.LOOP else _BREAK
+
+
+def _plan_control(body: List) -> _ControlPlan:
+    """One pass (skipping dead code as the emitter does) deciding each
+    construct at its ``end``, once its branches and inner constructs are
+    known: a targeted ``loop`` gets a capsule, and a branch to it crossing
+    no capsule is a ``continue``; a branch out of a ``block``/``if``
+    crossing no capsule breaks the target's own capsule, and one whose
+    innermost crossed capsule ends right before the target breaks that
+    one (the target needs no capsule). Any other branch dispatches."""
+    plan = _ControlPlan(reference=False)
+    frames: List[tuple] = []  # (opcode, start, branches) of open constructs
+    ends: Dict[int, int] = {}
+    dead = False
+    dead_depth = 0
+    for index, instr in enumerate(body):
+        code = instr.opcode
+        if code not in _CONTROL_OPS:
+            continue
+        if dead:
+            if code in (op.BLOCK, op.LOOP, op.IF):
+                dead_depth += 1
+                continue
+            if dead_depth or code not in (op.ELSE, op.END):
+                if code == op.END and dead_depth:
+                    dead_depth -= 1
+                continue
+            dead = False
+        if code in (op.BLOCK, op.LOOP, op.IF):
+            frames.append((code, index, []))
+        elif code == op.END and frames:
+            kind, start, branches = frames.pop()
+            ends[start] = index
+            for at, depth, crossed in branches:
+                capsules = [s for s in crossed if s in plan.capsules]
+                if not capsules:
+                    how = _CONTINUE if kind == op.LOOP else _BREAK
+                elif kind != op.LOOP and ends[capsules[-1]] + 1 == index:
+                    how = _BREAK
+                else:
+                    how = _DISPATCH
+                    plan.dispatched.add(start)
+                    plan.unwinds.update(capsules)
+                plan.kinds[(at, depth)] = how
+                if how != _BREAK or not capsules:
+                    plan.capsules.add(start)
+        elif code in (op.BR, op.BR_IF, op.BR_TABLE):
+            depths = {instr.arg[1], *instr.arg[0]} \
+                if code == op.BR_TABLE else (instr.arg,)
+            for depth in depths:
+                if depth < len(frames):
+                    crossed = [f[1] for f in frames[len(frames) - depth:]]
+                    frames[-1 - depth][2].append((index, depth, crossed))
+            dead = code != op.BR_IF
+        elif code in (op.RETURN, op.UNREACHABLE):
+            dead = True
+    return plan
 
 
 def _indent_of(line: str) -> int:
     return len(line) - len(line.lstrip(" "))
-
-
-def _capsule_owns_a_continue(body: List[str], base_indent: int) -> bool:
-    """Does any `continue` in ``body`` belong to the enclosing capsule
-    (rather than to a loop construct opened inside ``body``)?"""
-    loop_stack: List[int] = []
-    for line in body:
-        stripped = line.strip()
-        indent = _indent_of(line)
-        while loop_stack and indent <= loop_stack[-1]:
-            loop_stack.pop()
-        if stripped == "continue" and not loop_stack:
-            return True
-        if stripped.startswith("while ") or stripped.startswith("for "):
-            loop_stack.append(indent)
-    return False
-
-
-def _try_forify_at(lines: List[str], i: int, counter: List[int]
-                   ) -> Optional[List[str]]:
-    """Attempt the counted-loop rewrite on the capsule headed at ``i``."""
-    head = lines[i]
-    ind = _indent_of(head)
-    if not _FOR_HEAD.match(head[ind:]):
-        return None
-    n = len(lines)
-    if i + 4 >= n or lines[i + 1] != " " * (ind + 1) + "while True:" \
-            or lines[i + 2] != " " * (ind + 2) + "pass":
-        return None
-    guard_line = lines[i + 3]
-    if _indent_of(guard_line) != ind + 2:
-        return None
-    guard = _FOR_GUARD.match(guard_line[ind + 2:])
-    if guard is None:
-        return None
-    var, relop, bound = guard.group(1), guard.group(2), guard.group(3)
-    label = _FOR_HEAD.match(head[ind:]).group(1)
-
-    # Guard suite: the branch transfer out of the loop, one level deep.
-    j = i + 4
-    while j < n and _indent_of(lines[j]) >= ind + 3:
-        if _indent_of(lines[j]) != ind + 3:
-            return None
-        j += 1
-    guard_suite = [line[ind + 3:] for line in lines[i + 4:j]]
-    if not guard_suite or not (guard_suite[-1] == "break"
-                               or guard_suite[-1].startswith("return")):
-        return None
-
-    # Capsule body runs to the epilogue (first dedent to ind+1).
-    k = j
-    while k < n and _indent_of(lines[k]) >= ind + 2:
-        k += 1
-    if k - j < 3 or lines[k - 1] != " " * (ind + 2) + "break" \
-            or lines[k - 2] != " " * (ind + 2) + "continue" \
-            or _indent_of(lines[k - 3]) != ind + 2:
-        return None
-    step_match = _FOR_STEP.match(lines[k - 3][ind + 2:])
-    if step_match is None or step_match.group(1) != var \
-            or step_match.group(2) != var:
-        return None
-    step = int(step_match.group(3))
-    if step <= 0:
-        return None
-
-    epilogue = [
-        " " * (ind + 1) + "if _br >= 0:",
-        " " * (ind + 2) + f"if _br == {label}:",
-        " " * (ind + 3) + "_br = -1",
-        " " * (ind + 3) + "continue",
-        " " * (ind + 2) + "break",
-        " " * (ind + 1) + "break",
-    ]
-    if lines[k:k + 6] != epilogue:
-        return None
-
-    body = lines[j:k - 3]
-    for line in body:
-        stripped = line.strip()
-        if stripped == f"_br = {label}":
-            return None  # a nested frame branches back to this loop
-        if stripped.startswith(f"{var} = ") \
-                or stripped.startswith(f"for {var} "):
-            return None  # second write to the induction local
-        if bound.startswith("l") and (
-                stripped.startswith(f"{bound} = ")
-                or stripped.startswith(f"for {bound} ")):
-            return None  # the bound is not loop-invariant
-    if _capsule_owns_a_continue(body, ind + 2):
-        return None  # conditional backedge: must keep capsule form
-
-    if relop == "<":
-        stop = bound
-    elif bound.lstrip("-").isdigit():
-        stop = str(int(bound) + 1)
-    else:
-        stop = f"{bound} + 1"
-    name = f"_fr{counter[0]}"
-    counter[0] += 1
-    step_suffix = f", {step}" if step != 1 else ""
-    pad = " " * ind
-    replacement = [
-        f"{pad}{name} = range({var}, {stop}{step_suffix})",
-        f"{pad}for {var} in {name}:",
-    ]
-    if body:
-        replacement.extend(line[1:] for line in body)  # dedent one level
-    else:
-        replacement.append(f"{pad} pass")
-    replacement.append(f"{pad}else:")
-    replacement.append(f"{pad} if {name}:")
-    replacement.append(f"{pad}  {var} = {var} + {step}")
-    exit_lines = guard_suite[:-1] if guard_suite[-1] == "break" \
-        else guard_suite
-    replacement.extend(f"{pad} {line}" for line in exit_lines)
-    return lines[:i] + replacement + lines[k + 6:]
-
-
-def _forify(lines: List[str], counter: List[int]) -> List[str]:
-    """Rewrite every convertible counted-loop capsule in ``lines``."""
-    i = 0
-    while i < len(lines):
-        rewritten = _try_forify_at(lines, i, counter)
-        if rewritten is not None:
-            lines = rewritten
-            # Re-scan from the same spot: the loop's own body may hold
-            # further (now dedented) capsules.
-            continue
-        i += 1
-    return lines
 
 
 class _FunctionCompiler:
@@ -857,8 +793,13 @@ class _FunctionCompiler:
         self.promo_scopes: List[_PromoScope] = []
         self.next_promo = 0
         self._promotable_loops: Dict[int, bool] = {}
-        #: Unique `_fr{n}` range names for the counted-loop rewrite.
-        self._for_counter = [0]
+        #: Unique `_fr{n}` range names for the counted-loop `for` form.
+        self._for_counter = 0
+        #: Which constructs need capsules and dispatch. The reference
+        #: plan (o0, collector) also keeps every `pass` and dead `break`
+        #: of the original lowering; all other levels emit neither.
+        self.control = _ControlPlan(reference=True) \
+            if opt_level == 0 or collector else _plan_control(func.body)
 
     # -- stack management ---------------------------------------------------------
     #
@@ -989,7 +930,7 @@ class _FunctionCompiler:
             return "None"
         return self.stack[-1].expr if self.stack else "None"
 
-    def _emit_branch(self, depth: int) -> None:
+    def _emit_branch(self, depth: int, index: int) -> None:
         """Emit the transfer for ``br depth``; stack entries are vars."""
         self._emit_promo_writebacks(depth)
         height = len(self.stack)
@@ -1007,47 +948,135 @@ class _FunctionCompiler:
         for position in range(arity):
             if source_base + position != base + position:
                 self.out.emit(f"s{base + position} = s{source_base + position}")
-        if depth == 0 and frame.kind != op.LOOP:
-            self.out.emit("break")
-        elif depth == 0:
-            # Back edge to the innermost loop: at this point the
-            # innermost Python `while` is that loop's body capsule, whose
-            # body *is* the loop body — `continue` restarts it directly,
-            # skipping the _br unwind machinery.
+        kind = self.control.kind(index, depth, frame)
+        if kind == _CONTINUE:
+            # No capsule in between: the innermost Python loop is the
+            # loop's own (inner) `while`, whose body *is* the loop body.
             self.out.emit("continue")
+            frame.continues += 1
+        elif kind == _BREAK:
+            self.out.emit("break")
         else:
             self.out.emit(f"_br = {frame.label}")
             self.out.emit("break")
 
-    def _emit_epilogue(self, frame: _Frame) -> None:
-        """Post-capsule branch bookkeeping for a construct."""
-        if frame.kind == op.LOOP:
-            self.out.emit("if _br >= 0:")
-            self.out.indent += 1
-            self.out.emit(f"if _br == {frame.label}:")
-            self.out.indent += 1
-            self.out.emit("_br = -1")
-            self.out.emit("continue")
-            self.out.indent -= 1
-            self.out.emit("break")
-            self.out.indent -= 1
-            self.out.emit("break")
-            self.out.indent -= 1  # close outer while
-            if not frame.top_level:
-                self.out.emit("if _br >= 0:")
-                self.out.indent += 1
-                self.out.emit("break")
-                self.out.indent -= 1
+    def _reference_pass(self) -> None:
+        """The reference lowering opens every suite with ``pass``."""
+        if self.control.reference:
+            self.out.emit("pass")
+
+    def _close_suite(self) -> None:
+        """Dedent out of a suite; above the reference lowering ``pass``
+        is added here, and only when the suite stayed empty."""
+        out = self.out
+        if not self.control.reference \
+                and _indent_of(out.lines[-1]) < out.indent:
+            out.emit("pass")
+        out.indent -= 1
+
+    def _open_frame(self, index: int) -> _Frame:
+        frame = _Frame(self.func.body[index].opcode, self.next_label,
+                       len(self.stack), self.func.body[index].arg.arity,
+                       not self.frames, index, self.control)
+        self.next_label += 1
+        self.frames.append(frame)
+        return frame
+
+    def _open_else(self) -> None:
+        self._close_suite()
+        self.out.emit("else:")
+        self.out.indent += 1
+        self._reference_pass()
+        self._reset_stack(self.frames[-1].entry_height)
+
+    def _close_frame(self, live: bool) -> None:
+        """Close the innermost construct at its ``end``: the fall-through
+        exit of its capsule, then the epilogue that consumes a branch
+        dispatched to it and keeps unwinding one it is crossed by."""
+        frame = self.frames.pop()
+        self._close_promo_scope(frame, live=live)
+        ctx = self._pop_loop_ctx(frame)
+        self._reset_stack(frame.entry_height + frame.arity)
+        out = self.out
+        if frame.kind == op.IF:
+            self._close_suite()
+        if not frame.capsule:
+            return
+        # A dead fall-through `break` directly follows a transfer, except
+        # after an `if`, whose other arm may fall through.
+        if live or self.control.reference or frame.kind == op.IF:
+            out.emit("break")
+        self._close_suite()
+        if frame.kind == op.LOOP and frame.dispatch:
+            for line in ("if _br >= 0:", f" if _br == {frame.label}:",
+                         "  _br = -1", "  continue", " break", "break"):
+                out.emit(line)
+            out.indent -= 1  # close outer while
+        elif frame.kind == op.LOOP:
+            if self.profile is not None:
+                self._counted_for(frame, ctx)
+        elif frame.dispatch:
+            out.emit("if _br >= 0:")
+            if frame.unwind:
+                out.emit(f" if _br != {frame.label}: break")
+            out.emit(" _br = -1")
+            return
+        if frame.unwind:
+            out.emit("if _br >= 0:")
+            out.emit(" break")
+
+    def _counted_for(self, frame: _Frame, ctx: Optional[_LoopCtx]) -> None:
+        """Opt level 3: rebuild a just-closed counted-loop capsule
+
+            while True:  # loop L{n}        _fr{k} = range(l{v}, STOP[, S])
+             if not (l{v} < STOP):           for l{v} in _fr{k}:
+              EXIT                     ==>    BODY
+             BODY                            else:
+             l{v} = l{v} + S                  if _fr{k}:
+             continue                          l{v} = l{v} + S
+                                              EXIT      (sans `break`)
+
+        Exact: `range` iterates while `v < stop` with `v += step` on
+        unbounded ints, a `break` in BODY skips the `else` and leaves
+        `l{v}` as breaking the capsule did, and the `else` rebuilds the
+        first-failing value. The aotopt induction match makes the steps
+        the only writes to `l{v}` and a local bound invariant. The capsule
+        stays if the guard or step is not plain (a sign wrapper or mask
+        survived) or another branch re-enters the loop (`continue` in a
+        `for` would run the increment)."""
+        induction = ctx.info.induction if ctx is not None else None
+        if induction is None or frame.continues != 1:
+            return
+        lines = self.out.lines
+        head = ctx.insert_at  # the capsule header: preheader lines go above
+        pad = " " * self.out.indent
+        var = f"l{induction.local}"
+        if induction.bound_local is not None:
+            bound = f"l{induction.bound_local}"
+            stop = f"{bound} + 1" if induction.inclusive else bound
         else:
-            self.out.indent -= 1  # close capsule while
-            self.out.emit("if _br >= 0:")
-            self.out.indent += 1
-            if frame.top_level:
-                self.out.emit("_br = -1")
-            else:
-                self.out.emit(f"if _br != {frame.label}: break")
-                self.out.emit("_br = -1")
-            self.out.indent -= 1
+            literal = num.s32(induction.bound_const) if induction.signed \
+                else induction.bound_const
+            bound = str(literal)
+            stop = str(literal + 1) if induction.inclusive else bound
+        relop = "<=" if induction.inclusive else "<"
+        step = f"{var} = {var} + {induction.step}"
+        if lines[head + 1] != f"{pad} if not ({var} {relop} {bound}):" \
+                or lines[-2:] != [f"{pad} {step}", f"{pad} continue"]:
+            return
+        body_at = head + 2  # past EXIT, which ends in `break` (a br_if 1)
+        while _indent_of(lines[body_at]) > len(pad) + 1:
+            body_at += 1
+        name = f"_fr{self._for_counter}"
+        self._for_counter += 1
+        suffix = f", {induction.step}" if induction.step != 1 else ""
+        lines[head:] = [f"{pad}{name} = range({var}, {stop}{suffix})",
+                        f"{pad}for {var} in {name}:",
+                        *(lines[body_at:-2] or [f"{pad} pass"]),
+                        f"{pad}else:",
+                        f"{pad} if {name}:",
+                        f"{pad}  {step}",
+                        *(line[1:] for line in lines[head + 2:body_at - 1])]
 
     # -- main pass ---------------------------------------------------------------
 
@@ -1064,15 +1093,14 @@ class _FunctionCompiler:
             index = len(params) + offset
             zero = "0" if valtype.is_integer else "0.0"
             self.out.emit(f"l{index} = {zero}")
-        self.out.emit("_br = -1")
+        if self.control.reference or self.control.dispatched:
+            self.out.emit("_br = -1")
         if self.collector:
             self.out.emit(f"_pf[{self.func_index}] += 1")
         if self.spec_globals:
             self._compile_specialized()
         else:
             self._compile_range(0, len(self.func.body))
-            if self.profile is not None:
-                self.out.lines = _forify(self.out.lines, self._for_counter)
         self.out.indent -= 1
         self.out.emit("finally:")
         self.out.indent += 1
@@ -1102,13 +1130,7 @@ class _FunctionCompiler:
                 sites=self.sites if const_globals is not None else None,
                 const_globals=const_globals)
             clone.out.indent = self.out.indent + 1
-            clone.out.emit("pass")
             clone._compile_range(0, len(clone.func.body))
-            if const_globals is not None:
-                # The specialised arm gets the loop-shape rewrite; the
-                # deopt arm below stays the exact o2 lowering.
-                clone.out.lines = _forify(clone.out.lines,
-                                          self._for_counter)
             self.out.lines.extend(clone.out.lines)
             if const_globals is not None:
                 self.out.emit("else:")
@@ -1144,9 +1166,10 @@ class _FunctionCompiler:
         return key is not None \
             and self.profile.access_masks.get(key) == 0
 
-    def _pop_loop_ctx(self, frame: _Frame) -> None:
+    def _pop_loop_ctx(self, frame: _Frame) -> Optional[_LoopCtx]:
         if self.loop_ctxs and self.loop_ctxs[-1].frame is frame:
-            self.loop_ctxs.pop()
+            return self.loop_ctxs.pop()
+        return None
 
     def _compile_range(self, start: int, stop: int) -> None:
         """Compile the instruction range ``[start, stop)``.
@@ -1173,12 +1196,7 @@ class _FunctionCompiler:
                 if code in (op.BLOCK, op.LOOP, op.IF):
                     dead_depth += 1
                 elif code == op.ELSE and dead_depth == 0:
-                    frame = self.frames[-1]
-                    out.indent -= 1
-                    out.emit("else:")
-                    out.indent += 1
-                    out.emit("pass")
-                    self._reset_stack(frame.entry_height)
+                    self._open_else()
                     dead = False
                 elif code == op.END:
                     if dead_depth:
@@ -1186,46 +1204,73 @@ class _FunctionCompiler:
                     elif not self.frames:
                         dead = False
                     else:
-                        frame = self.frames.pop()
                         # The fall-through exit is dead, but the loop can
                         # still run (branch exits wrote back already):
                         # preloads must land in the preheader regardless.
-                        self._close_promo_scope(frame, live=False)
-                        self._pop_loop_ctx(frame)
-                        if frame.kind == op.IF:
-                            out.indent -= 1  # close if/else suite
-                        self._reset_stack(frame.entry_height + frame.arity)
+                        self._close_frame(live=False)
                         dead = False
-                        if frame.kind == op.LOOP:
-                            out.emit("break")
-                            out.indent -= 1
-                            self._emit_epilogue(frame)
-                        else:
-                            out.emit("break")
-                            self._emit_epilogue(frame)
                 continue
 
             if code == op.NOP:
                 continue
 
-            if code == op.BLOCK:
+            # The hottest opcodes first: constants, local reads and writes
+            # and pure binops make up ~60% of a typical body.
+            if code in (op.I32_CONST, op.I64_CONST):
+                literal = instr.arg
+                if literal >= 0:
+                    affine = {-1: literal} if code == op.I32_CONST else None
+                    self._push(str(literal), ops=0, lo=literal, hi=literal,
+                               affine=affine)
+                else:
+                    self._push(str(literal), ops=0)
+            elif code == op.LOCAL_GET:
+                self._push_local(instr.arg)
+            elif code == op.LOCAL_SET:
+                value = self._pop()
+                self._spill_local_readers(instr.arg)
+                out.emit(f"l{instr.arg} = {value.expr}")
+            elif code in _BINOPS:
+                rhs = self._pop()
+                lhs = self._pop()
+                if (code in _FOLDABLE_BINOPS and lhs.literal is not None
+                        and rhs.literal is not None):
+                    folded = eval(  # compile-time, pure integer arithmetic
+                        _BINOPS[code].format(a=lhs.expr, b=rhs.expr),
+                        dict(_FOLD_NAMESPACE),
+                    )
+                    if self.opt >= 1 and folded >= 0:
+                        self._push(str(folded), ops=0, lo=folded, hi=folded,
+                                   affine={-1: folded}
+                                   if _RANGE_BINOPS.get(code, ("", 0))[1] == 32
+                                   else None)
+                    else:
+                        self._push(str(folded), ops=0)
+                    continue
+                if self.opt >= 1 and code in _RANGE_BINOPS:
+                    self._push_value(self._range_binop(code, lhs, rhs))
+                    continue
+                self._push(
+                    _BINOPS[code].format(a=lhs.paren, b=rhs.paren),
+                    locals_read=lhs.locals_read | rhs.locals_read,
+                    reads_global=lhs.reads_global or rhs.reads_global,
+                    reads_memory=lhs.reads_memory or rhs.reads_memory,
+                    ops=lhs.ops + rhs.ops + 1,
+                    temps=lhs.temps | rhs.temps,
+                )
+            elif code == op.BLOCK:
                 self._spill_all()
-                frame = _Frame(code, self.next_label, len(self.stack),
-                               instr.arg.arity, not self.frames)
-                self.next_label += 1
-                self.frames.append(frame)
-                out.emit(f"while True:  # block L{frame.label}")
-                out.indent += 1
-                out.emit("pass")
+                frame = self._open_frame(index)
+                if frame.capsule:
+                    out.emit(f"while True:  # block L{frame.label}")
+                    out.indent += 1
+                    self._reference_pass()
             elif code == op.LOOP:
                 if self._can_version(index):
                     skip_until = self._compile_versioned_loop(index)
                     continue
                 self._spill_all()
-                frame = _Frame(code, self.next_label, len(self.stack),
-                               instr.arg.arity, not self.frames)
-                self.next_label += 1
-                self.frames.append(frame)
+                frame = self._open_frame(index)
                 if self.opt >= 1:
                     info = self.analysis.get(index)
                     if info is not None:
@@ -1244,61 +1289,44 @@ class _FunctionCompiler:
                             ctx.ind_hi = induction.versioned_hi
                         self.loop_ctxs.append(ctx)
                 self._open_promo_scope(index, frame)
-                out.emit(f"while True:  # loop L{frame.label}")
-                out.indent += 1
-                out.emit("while True:")
-                out.indent += 1
-                out.emit("pass")
+                if frame.capsule:
+                    out.emit(f"while True:  # loop L{frame.label}")
+                    out.indent += 1
+                    if frame.dispatch:
+                        out.emit("while True:")
+                        out.indent += 1
+                    self._reference_pass()
                 if self.collector:
                     out.emit(f"_pl[{self._site_key(index)!r}] += 1")
             elif code == op.IF:
                 condition = self._pop()
                 self._spill_all()
-                frame = _Frame(code, self.next_label, len(self.stack),
-                               instr.arg.arity, not self.frames)
-                self.next_label += 1
-                self.frames.append(frame)
-                out.emit(f"while True:  # if L{frame.label}")
-                out.indent += 1
+                frame = self._open_frame(index)
+                if frame.capsule:
+                    out.emit(f"while True:  # if L{frame.label}")
+                    out.indent += 1
                 out.emit(f"if {condition.condition}:")
                 out.indent += 1
-                out.emit("pass")
+                self._reference_pass()
             elif code == op.ELSE:
-                frame = self.frames[-1]
                 self._spill_all()
-                out.indent -= 1
-                out.emit("else:")
-                out.indent += 1
-                out.emit("pass")
-                self._reset_stack(frame.entry_height)
+                self._open_else()
             elif code == op.END:
                 self._spill_all()
                 if not self.frames:
                     out.emit(f"return {self._result_expr()}")
                     continue
-                frame = self.frames.pop()
-                self._close_promo_scope(frame, live=True)
-                self._pop_loop_ctx(frame)
-                if frame.kind == op.IF:
-                    out.indent -= 1  # close if (or else) suite
-                self._reset_stack(frame.entry_height + frame.arity)
-                if frame.kind == op.LOOP:
-                    out.emit("break")
-                    out.indent -= 1
-                    self._emit_epilogue(frame)
-                else:
-                    out.emit("break")
-                    self._emit_epilogue(frame)
+                self._close_frame(live=True)
             elif code == op.BR:
                 self._spill_all()
-                self._emit_branch(instr.arg)
+                self._emit_branch(instr.arg, index)
                 dead = True
             elif code == op.BR_IF:
                 condition = self._pop()
                 self._spill_all()
                 out.emit(f"if {condition.condition}:")
                 out.indent += 1
-                self._emit_branch(instr.arg)
+                self._emit_branch(instr.arg, index)
                 out.indent -= 1
             elif code == op.BR_TABLE:
                 depths, default = instr.arg
@@ -1310,14 +1338,14 @@ class _FunctionCompiler:
                         keyword = "if" if position == 0 else "elif"
                         out.emit(f"{keyword} _i == {position}:")
                         out.indent += 1
-                        self._emit_branch(depth)
+                        self._emit_branch(depth, index)
                         out.indent -= 1
                     out.emit("else:")
                     out.indent += 1
-                    self._emit_branch(default)
+                    self._emit_branch(default, index)
                     out.indent -= 1
                 else:
-                    self._emit_branch(default)
+                    self._emit_branch(default, index)
                 dead = True
             elif code == op.RETURN:
                 self._emit_promo_writebacks(None)
@@ -1334,10 +1362,10 @@ class _FunctionCompiler:
                 out.emit("_inst.enter_call()")
                 out.emit("try:")
                 out.indent += 1
-                out.emit("pass")
+                self._reference_pass()
             elif code == op.INLINE_EXIT:
                 self._spill_all()
-                out.indent -= 1
+                self._close_suite()
                 out.emit("finally:")
                 out.indent += 1
                 out.emit("_inst.exit_call()")
@@ -1384,12 +1412,6 @@ class _FunctionCompiler:
                 out.emit(f"s{top - 2} = s{top - 1}")
                 out.indent -= 1
                 self._pop()
-            elif code == op.LOCAL_GET:
-                self._push_local(instr.arg)
-            elif code == op.LOCAL_SET:
-                value = self._pop()
-                self._spill_local_readers(instr.arg)
-                out.emit(f"l{instr.arg} = {value.expr}")
             elif code == op.LOCAL_TEE:
                 value = self._pop()
                 self._spill_local_readers(instr.arg)
@@ -1418,14 +1440,6 @@ class _FunctionCompiler:
                 out.emit(f"_g[{instr.arg}].value = {value.expr}")
                 if self.collector:
                     out.emit(f"_pg[{instr.arg}] += 1")
-            elif code in (op.I32_CONST, op.I64_CONST):
-                literal = instr.arg
-                if literal >= 0:
-                    affine = {-1: literal} if code == op.I32_CONST else None
-                    self._push(str(literal), ops=0, lo=literal, hi=literal,
-                               affine=affine)
-                else:
-                    self._push(str(literal), ops=0)
             elif code in (op.F32_CONST, op.F64_CONST):
                 value = instr.arg
                 if math.isnan(value):
@@ -1577,34 +1591,6 @@ class _FunctionCompiler:
                     ops=operand.ops + 2,
                     bool_expr=raw,
                     lo=0, hi=1, temps=operand.temps,
-                )
-            elif code in _BINOPS:
-                rhs = self._pop()
-                lhs = self._pop()
-                if (code in _FOLDABLE_BINOPS and lhs.literal is not None
-                        and rhs.literal is not None):
-                    folded = eval(  # compile-time, pure integer arithmetic
-                        _BINOPS[code].format(a=lhs.expr, b=rhs.expr),
-                        dict(_FOLD_NAMESPACE),
-                    )
-                    if self.opt >= 1 and folded >= 0:
-                        self._push(str(folded), ops=0, lo=folded, hi=folded,
-                                   affine={-1: folded}
-                                   if _RANGE_BINOPS.get(code, ("", 0))[1] == 32
-                                   else None)
-                    else:
-                        self._push(str(folded), ops=0)
-                    continue
-                if self.opt >= 1 and code in _RANGE_BINOPS:
-                    self._push_value(self._range_binop(code, lhs, rhs))
-                    continue
-                self._push(
-                    _BINOPS[code].format(a=lhs.paren, b=rhs.paren),
-                    locals_read=lhs.locals_read | rhs.locals_read,
-                    reads_global=lhs.reads_global or rhs.reads_global,
-                    reads_memory=lhs.reads_memory or rhs.reads_memory,
-                    ops=lhs.ops + rhs.ops + 1,
-                    temps=lhs.temps | rhs.temps,
                 )
             elif code in _TRAPPING_BINOPS:
                 rhs = self._pop()

@@ -221,36 +221,40 @@ def analyze(func: Function,
     """
     body = func.body
     loops: Dict[int, LoopInfo] = {}
+    open_loops: List[LoopInfo] = []  # facts merge outward as loops close
     for index, instr in enumerate(body):
-        if instr.opcode == op.LOOP:
-            loops[index] = _analyze_loop(body, index, instr.target,
-                                         allow_symbolic_init)
-    return loops
-
-
-def _analyze_loop(body: List[Instr], start: int, end: int,
-                  allow_symbolic_init: bool = False) -> LoopInfo:
-    info = LoopInfo(start, end)
-    for index in range(start + 1, end):
-        code = body[index].opcode
-        if code in (op.LOCAL_SET, op.LOCAL_TEE):
-            info.writes.add(body[index].arg)
+        code = instr.opcode
+        if code == op.LOOP:
+            info = loops[index] = LoopInfo(index, instr.target)
+            open_loops.append(info)
+        elif not open_loops:
+            continue
+        elif code in (op.LOCAL_SET, op.LOCAL_TEE):
+            open_loops[-1].writes.add(instr.arg)
         elif code in (op.CALL, op.CALL_INDIRECT):
-            info.has_call = True
+            open_loops[-1].has_call = True
         elif code == op.MEMORY_GROW:
-            info.has_grow = True
+            open_loops[-1].has_grow = True
         elif code in ACCESS_OPS:
-            info.has_access = True
-    info.induction = _match_induction(body, start, end, info,
-                                      allow_symbolic_init)
-    info.versionable = (
-        info.induction is not None
-        and not info.has_call
-        and not info.has_grow
-        and info.has_access
-        and info.induction.fast_path_sound()[0]
-    )
-    return info
+            open_loops[-1].has_access = True
+        elif code == op.END and index == open_loops[-1].end:
+            info = open_loops.pop()
+            info.induction = _match_induction(body, info.start, info.end,
+                                              info, allow_symbolic_init)
+            info.versionable = (
+                info.induction is not None
+                and not info.has_call
+                and not info.has_grow
+                and info.has_access
+                and info.induction.fast_path_sound()[0]
+            )
+            if open_loops:
+                parent = open_loops[-1]
+                parent.writes |= info.writes
+                parent.has_call |= info.has_call
+                parent.has_grow |= info.has_grow
+                parent.has_access |= info.has_access
+    return loops
 
 
 def _match_induction(body: List[Instr], start: int, end: int,

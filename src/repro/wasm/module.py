@@ -110,6 +110,8 @@ class Module:
     start: Optional[int] = None
     custom_sections: List[Tuple[str, bytes]] = field(default_factory=list)
     binary_size: int = 0
+    #: Set once :func:`~repro.wasm.validation.validate_module` passed it.
+    validated: bool = field(default=False, compare=False, repr=False)
 
     @property
     def func_count(self) -> int:

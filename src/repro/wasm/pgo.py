@@ -289,8 +289,9 @@ class FunctionPlan:
 
     func: Function
     #: Per-instruction site keys (see :func:`_site`); ``None`` entries are
-    #: synthetic instructions introduced by inlining.
-    sites: List[Optional[str]]
+    #: synthetic instructions introduced by inlining. None when nothing
+    #: was inlined: the body's own ``f<index>:<i>`` keys apply.
+    sites: Optional[List[Optional[str]]]
     #: Observed-constant globals this function's body may specialise on.
     spec_globals: Dict[int, float]
     inlined: int = 0
@@ -423,17 +424,21 @@ def _splice_size(module: Module, callee: Function) -> int:
 
 
 def inline_into(module: Module, func: Function, func_index: int,
-                candidates: Dict[int, Function]) -> Tuple[Function,
-                                                          List[Optional[str]]]:
+                candidates: Dict[int, Function]
+                ) -> Tuple[Function, Optional[List[Optional[str]]]]:
     """Inline every budget-permitted call to a candidate into ``func``.
 
     Returns a *new* Function (the input is shared via the codecache and
-    never mutated) plus the parallel site-key list.  Inlining is single
+    never mutated) plus the parallel site-key list, or ``func`` itself and
+    None (its own ``f<index>:<i>`` keys) when nothing was inlined.  Inlining is single
     level: spliced bodies are the callees' originals, so a ``call``
     inside one stays a real call — recursion (direct or mutual) can
     therefore never unroll unboundedly, and self-calls are excluded from
     ``candidates`` outright.
     """
+    if not any(instr.opcode == op.CALL and instr.arg in candidates
+               and instr.arg != func_index for instr in func.body):
+        return func, None
     out_body: List[Instr] = []
     out_sites: List[Optional[str]] = []
     locals_out = list(func.locals)
@@ -462,7 +467,7 @@ def inline_into(module: Module, func: Function, func_index: int,
         out_sites.append(_site(func_index, index))
 
     if not inlined:
-        return func, [_site(func_index, i) for i in range(len(func.body))]
+        return func, None
     resolve_targets(out_body)
     new_func = Function(type_index=func.type_index, locals=locals_out,
                         body=out_body, body_size=func.body_size,

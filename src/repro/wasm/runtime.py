@@ -256,7 +256,8 @@ class Engine:
         skipped; runtime state (memory, table, globals) is always built
         fresh. ``cache_key`` supplies the content address when the caller
         already decoded the binary itself (a decoded module without a key
-        cannot be content-addressed and is never cached).
+        cannot be content-addressed and is never cached). A decoded module
+        is validated here unless it already passed ``validate_module``.
         """
         cache = codecache.resolve(code_cache)
         cache_entry = None
@@ -281,14 +282,15 @@ class Engine:
                 # itself and already accounted the hit/miss for this load.
                 cache_entry = cache.peek(cache_key, self.cache_identity)
                 if cache_entry is None:
-                    validate_module(module)
+                    if not module.validated:
+                        validate_module(module)
                     cache_entry = cache.store(cache_key, self.cache_identity,
                                               module)
                 elif cache_entry.module is not module:
                     # Adopt the cached decode so artifacts and module stay
                     # consistent (same content hash => same module).
                     module = cache_entry.module
-            else:
+            elif not module.validated:
                 validate_module(module)
         imports = imports or {}
 

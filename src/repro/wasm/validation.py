@@ -417,3 +417,4 @@ def validate_module(module: Module) -> None:
     local_offset = len(module.imported_funcs)
     for index, function in enumerate(module.functions):
         _BodyChecker(module, function, local_offset + index).check()
+    module.validated = True

@@ -169,6 +169,26 @@ def test_unload_returns_memory(device):
     assert session.api.heap_used == before
 
 
+def test_uncached_load_validates_once(device, monkeypatch):
+    """With the code cache off, CMD_LOAD decodes and validates the module
+    itself; instantiating that module must not validate it again."""
+    from repro.wasm.validation import validate_module
+
+    calls = []
+
+    def counting(module):
+        calls.append(module)
+        validate_module(module)
+
+    monkeypatch.setattr("repro.core.runtime.validate_module", counting)
+    monkeypatch.setattr("repro.wasm.runtime.validate_module", counting)
+    session = device.open_watz(heap_size=4 * 1024 * 1024)
+    loaded = device.load_wasm(session, compile_source(_APP),
+                              code_cache=False)
+    assert len(calls) == 1
+    assert device.run_wasm(session, loaded["app"], "add", 2, 3) == 5
+
+
 def test_unknown_app_handle_rejected(watz):
     _, session, _, _ = watz
     with pytest.raises(TeeBadParameters):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.wasm import ModuleBuilder, decode_module, validate_module
+from repro.wasm import (AotCompiler, ModuleBuilder, decode_module,
+                        validate_module)
 from repro.wasm import opcodes as op
 from repro.wasm.types import F64, I32
 
@@ -269,3 +270,27 @@ def test_element_function_index_checked():
     builder.add_element(0, [5])
     with pytest.raises(ValidationError, match="element"):
         _validate(builder)
+
+
+def test_instantiating_a_decoded_invalid_module_still_validates():
+    """Instantiation skips validation only for a module that passed it."""
+    def emit(f):
+        f.emit(op.I32_ADD)
+
+    module = decode_module(_single(emit, results=[I32]).build())
+    assert not module.validated
+    with pytest.raises(ValidationError, match="underflow"):
+        AotCompiler().instantiate(module)
+    with pytest.raises(ValidationError, match="underflow"):
+        AotCompiler().instantiate(module, code_cache=None)
+
+
+def test_validation_marks_the_module():
+    def emit(f):
+        f.i32_const(1)
+
+    module = decode_module(_single(emit, results=[I32]).build())
+    validate_module(module)
+    assert module.validated
+    instance = AotCompiler().instantiate(module, code_cache=None)
+    assert instance.funcs[0]() == 1
