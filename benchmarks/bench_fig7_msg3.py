@@ -14,8 +14,8 @@ decryption (attester) costs. Two measurements here:
 ``test_msg3_throughput_smoke`` is the CI gate: the fast path must hold
 >= 5x over the reference on a 512 kB seal+open, re-measured once against
 runner noise and only enforced on hosts with at least two CPUs (the
-pipeline splits bulk keystream/GHASH work across threads; a single
-shared core measures the scheduler instead).
+pipeline runs on one thread, but on a single shared core the timing
+measures the scheduler as much as the pipeline).
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ def _path_entry(size: int, seal_s: float, open_s: float) -> dict:
 def _gcm_series(sizes, fast_rounds: int = 3, reference_rounds: int = 1):
     """Per-size seal/open timings for the fast and reference GCM paths."""
     cipher = AesGcm(_KEY)
-    # Warm the per-subkey stripe tables and the thread pool once so the
-    # measurements see the steady state fleet lanes run in.
+    # Warm the per-subkey stripe tables once so the measurements see the
+    # steady state fleet lanes run in.
     cipher.seal(_IV, bytes(gcm._VECTOR_MIN_BLOCKS * 16))
     entries = []
     for size in sizes:

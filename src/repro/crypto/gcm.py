@@ -26,10 +26,8 @@ open stream never releases plaintext before the tag verifies.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
@@ -54,11 +52,6 @@ STRIPE_WIDTH = 64
 #: messages stay below it and never pay the build. Once a subkey's stripe
 #: tables exist, any fold of at least one stripe uses them.
 _VECTOR_MIN_BLOCKS = 4096
-
-#: Whole blocks in one fold/keystream call before work is split across
-#: threads (numpy releases the GIL inside gathers). 16384 blocks = 256 KiB.
-_PARALLEL_MIN_BLOCKS = 16384
-_MAX_POOL_WORKERS = 4
 
 _R = 0xE1 << 120
 _MASK64 = (1 << 64) - 1
@@ -276,34 +269,6 @@ def table_cache_info() -> Dict[str, int]:
                 "capacity": _TABLE_CACHE_CAPACITY, **_table_stats}
 
 
-# --- worker pool (bulk folds and keystreams on multi-core hosts) ---------------
-
-_pool = None
-_pool_pid = 0
-_pool_lock = threading.Lock()
-
-
-def _bulk_workers(nblocks: int) -> int:
-    if nblocks < _PARALLEL_MIN_BLOCKS:
-        return 1
-    cpus = os.cpu_count() or 1
-    if cpus <= 1:
-        return 1
-    return min(_MAX_POOL_WORKERS, cpus)
-
-
-def _executor() -> ThreadPoolExecutor:
-    global _pool, _pool_pid
-    pid = os.getpid()
-    if _pool is None or _pool_pid != pid:  # forked children get a fresh pool
-        with _pool_lock:
-            if _pool is None or _pool_pid != pid:
-                _pool = ThreadPoolExecutor(max_workers=_MAX_POOL_WORKERS,
-                                           thread_name_prefix="gcm-bulk")
-                _pool_pid = pid
-    return _pool
-
-
 # --- GHASH ---------------------------------------------------------------------
 
 
@@ -392,22 +357,7 @@ def _fold_striped(state: int, tables: _StripeTables, mat: np.ndarray,
     n = nstripes * width
     base = _power_base(n)
     acc = np.empty(n, dtype=np.complex128)
-    workers = _bulk_workers(n)
-    if workers > 1:
-        # Stripe-aligned slices: the power pattern restarts identically at
-        # every stripe boundary, so each worker reuses the same base tile.
-        pool = _executor()
-        step = -(-nstripes // workers) * width
-        futures = [
-            pool.submit(_column_products, tables.gather,
-                        mat[begin:begin + step], base[:min(step, n - begin)],
-                        acc[begin:begin + step])
-            for begin in range(0, n, step)
-        ]
-        for future in futures:
-            future.result()
-    else:
-        _column_products(tables.gather, mat, base, acc)
+    _column_products(tables.gather, mat, base, acc)
     folded = np.bitwise_xor.reduce(
         acc.view(np.uint64).reshape(nstripes, width, 2), axis=1)
     highs = folded[:, 0].tolist()
@@ -520,25 +470,6 @@ class _GhashState:
 # --- CTR keystream streams -----------------------------------------------------
 
 
-def _ctr_fill(cipher: Aes128, iv: bytes, start_block: int,
-              out: np.ndarray) -> None:
-    """Fill ``out`` with fast-path keystream, split across threads when big."""
-    nblocks = len(out) // BLOCK_SIZE
-    workers = _bulk_workers(nblocks)
-    if workers <= 1:
-        cipher.ctr_keystream_into(iv, start_block, out)
-        return
-    pool = _executor()
-    step = -(-nblocks // workers)
-    futures = [
-        pool.submit(cipher.ctr_keystream_into, iv, start_block + begin,
-                    out[begin * BLOCK_SIZE : (begin + step) * BLOCK_SIZE])
-        for begin in range(0, nblocks, step)
-    ]
-    for future in futures:
-        future.result()
-
-
 class _CtrFast:
     """Chunked CTR XOR: numpy keystream blocks, ``bitwise_xor`` over views."""
 
@@ -566,7 +497,7 @@ class _CtrFast:
             return
         nblocks = (remaining + BLOCK_SIZE - 1) // BLOCK_SIZE
         keystream = np.empty(nblocks * BLOCK_SIZE, dtype=np.uint8)
-        _ctr_fill(self._cipher, self._iv, self._next_block, keystream)
+        self._cipher.ctr_keystream_into(self._iv, self._next_block, keystream)
         self._next_block += nblocks
         np.bitwise_xor(src_arr[pos:], keystream[:remaining], out=out_arr[pos:])
         self._leftover = keystream[remaining:].tobytes()

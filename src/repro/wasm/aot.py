@@ -37,6 +37,7 @@ Compilation strategy:
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from contextlib import contextmanager
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
@@ -47,7 +48,7 @@ from repro.wasm import codecache
 from repro.wasm import numerics as num
 from repro.wasm import opcodes as op
 from repro.wasm import pgo
-from repro.wasm.interpreter import _fdiv
+from repro.wasm.interpreter import _fdiv, _run
 from repro.wasm.module import Function, Module
 from repro.wasm.pgo import Profile, ProfileError, ProfileWarning
 from repro.wasm.runtime import (Engine, Instance, Memory, S_F32, S_F64, S_I16,
@@ -507,14 +508,16 @@ class _Emitter:
 class _Frame:
     """One open structured construct during compilation."""
 
-    __slots__ = ("kind", "label", "entry_height", "arity", "capsule",
-                 "dispatch", "unwind", "continues")
+    __slots__ = ("kind", "label", "start", "entry_height", "arity",
+                 "capsule", "dispatch", "unwind", "continues")
 
     def __init__(self, kind: int, label: int, entry_height: int,
                  arity: int, top_level: bool, start: int,
                  plan: "_ControlPlan") -> None:
         self.kind = kind
         self.label = label
+        #: Body index of the opening instruction.
+        self.start = start
         self.entry_height = entry_height
         self.arity = arity
         reference = plan.reference
@@ -558,17 +561,20 @@ class _LoopCtx:
                 self.ind_lo = induction.loop_lo
 
 
+class _ProbeFailed(Exception):
+    """A versioned loop's probe met an access it cannot bound at entry."""
+
+
 class _FastCtx:
     """Collects preflight requirements while probing a versioned loop."""
 
-    __slots__ = ("root", "reqs", "numeric", "failed")
+    __slots__ = ("root", "reqs", "numeric")
 
     def __init__(self, root: aotopt.LoopInfo) -> None:
         self.root = root
         self.reqs: List[str] = []
         #: Max over fully-constant address bounds: one combined check.
         self.numeric: Optional[int] = None
-        self.failed = False
 
     def require(self, condition: str) -> None:
         if condition not in self.reqs:
@@ -1175,8 +1181,8 @@ class _FunctionCompiler:
         """Compile the instruction range ``[start, stop)``.
 
         The whole function body is one range; a versioned loop compiles
-        its own ``[loop, end]`` sub-range twice (fast probe + safe copy)
-        through the same machinery.
+        its own ``[loop, end]`` sub-range (the fast copy) through the same
+        machinery.
         """
         module = self.module
         body = self.func.body
@@ -1455,35 +1461,33 @@ class _FunctionCompiler:
                 offset = instr.arg or 0
                 lo, hi = _LOAD_RANGES.get(code, (None, None))
                 if self.fast is not None:
-                    access = self._fast_access(address, offset, width)
-                    if access is not None:
-                        addr, plane = access
-                        if self._recording:
-                            self._record_access(code, address, plane, False)
-                        if plane is not None and code in _PROMO_LOADS:
-                            promo = self._promo_lookup(
-                                (_PROMO_LOADS[code][0], plane))
-                            if promo is not None:
-                                self._push(
-                                    _PROMO_LOADS[code][1].format(x=promo),
-                                    reads_memory=True, ops=2, lo=lo, hi=hi,
-                                    temps=frozenset((promo,)))
-                                continue
-                        if plane is not None and code in _PLANE_LOADS:
-                            expr = _PLANE_LOADS[code].format(i=plane)
-                        else:
-                            expr = template.format(m="_m", a=addr)
-                        if self.hot_fast:
-                            # Hot fast copy: the load provably cannot trap,
-                            # so it defers and fuses like a pure expression
-                            # (spilled on any store/grow as usual).
-                            self._push(expr, locals_read=address.locals_read,
-                                       reads_memory=True,
-                                       ops=address.ops + 2, lo=lo, hi=hi,
-                                       temps=address.temps)
-                        else:
-                            self._push_var(expr, lo=lo, hi=hi)
-                        continue
+                    addr, plane = self._fast_access(address, offset, width)
+                    if self._recording:
+                        self._record_access(code, address, plane, False)
+                    if plane is not None and code in _PROMO_LOADS:
+                        promo = self._promo_lookup(
+                            (_PROMO_LOADS[code][0], plane))
+                        if promo is not None:
+                            self._push(
+                                _PROMO_LOADS[code][1].format(x=promo),
+                                reads_memory=True, ops=2, lo=lo, hi=hi,
+                                temps=frozenset((promo,)))
+                            continue
+                    if plane is not None and code in _PLANE_LOADS:
+                        expr = _PLANE_LOADS[code].format(i=plane)
+                    else:
+                        expr = template.format(m="_m", a=addr)
+                    if self.hot_fast:
+                        # Hot fast copy: the load provably cannot trap,
+                        # so it defers and fuses like a pure expression
+                        # (spilled on any store/grow as usual).
+                        self._push(expr, locals_read=address.locals_read,
+                                   reads_memory=True,
+                                   ops=address.ops + 2, lo=lo, hi=hi,
+                                   temps=address.temps)
+                    else:
+                        self._push_var(expr, lo=lo, hi=hi)
+                    continue
                 offset_text = f" + {instr.arg}" if instr.arg else ""
                 out.emit(f"_a = {address.paren}{offset_text}")
                 out.emit(f"if _a + {width} > len(_m): "
@@ -1520,25 +1524,23 @@ class _FunctionCompiler:
                 self._spill_memory_readers()
                 offset = instr.arg or 0
                 if self.fast is not None:
-                    access = self._fast_access(address, offset, width)
-                    if access is not None:
-                        addr, plane = access
-                        if self._recording:
-                            self._record_access(code, address, plane, True)
-                        if plane is not None and code in _PROMO_STORES:
-                            promo = self._promo_lookup(
-                                (_PROMO_STORES[code][0], plane))
-                            if promo is not None:
-                                out.emit(f"{promo} = " + _PROMO_STORES[code][1]
-                                         .format(v=value.expr))
-                                continue
-                        if plane is not None and code in _PLANE_STORES:
-                            out.emit(_PLANE_STORES[code].format(
-                                i=plane, v=value.expr))
-                        else:
-                            out.emit(template.format(m="_m", a=addr,
-                                                     v=value.expr))
-                        continue
+                    addr, plane = self._fast_access(address, offset, width)
+                    if self._recording:
+                        self._record_access(code, address, plane, True)
+                    if plane is not None and code in _PROMO_STORES:
+                        promo = self._promo_lookup(
+                            (_PROMO_STORES[code][0], plane))
+                        if promo is not None:
+                            out.emit(f"{promo} = " + _PROMO_STORES[code][1]
+                                     .format(v=value.expr))
+                            continue
+                    if plane is not None and code in _PLANE_STORES:
+                        out.emit(_PLANE_STORES[code].format(
+                            i=plane, v=value.expr))
+                    else:
+                        out.emit(template.format(m="_m", a=addr,
+                                                 v=value.expr))
+                    continue
                 offset_text = f" + {instr.arg}" if instr.arg else ""
                 out.emit(f"_a = {address.paren}{offset_text}")
                 out.emit(f"if _a + {width} > len(_m): "
@@ -1997,17 +1999,17 @@ class _FunctionCompiler:
         return None
 
     def _fast_access(self, address: _Value, offset: int,
-                     width: int) -> Optional[tuple]:
+                     width: int) -> tuple:
         """Hoist one access's bounds check into the loop preflight.
 
         Returns ``(address_expr, plane_index_expr_or_None)`` and records
-        the requirement ``max_address + width <= _ml``, or None (probe
-        failure) when the address cannot be bounded at loop entry.
+        the requirement ``max_address + width <= _ml``; raises
+        :class:`_ProbeFailed` when the address cannot be bounded at loop
+        entry, which ends the probe at this access.
         """
         fast = self.fast
         if address.affine is None:
-            fast.failed = True
-            return None
+            raise _ProbeFailed
         effective = dict(address.affine)
         effective[-1] = effective.get(-1, 0) + offset
         numeric = effective[-1] + width
@@ -2017,8 +2019,7 @@ class _FunctionCompiler:
                 continue
             bound = self._fast_bound(local)
             if bound is None:
-                fast.failed = True
-                return None
+                raise _ProbeFailed
             bound_numeric, bound_symbolic = bound
             if bound_numeric is not None:
                 numeric += coeff * bound_numeric
@@ -2058,55 +2059,39 @@ class _FunctionCompiler:
         return addr, plane
 
     def _compile_versioned_loop(self, index: int) -> int:
-        """Emit a fast/safe versioned pair for the loop at ``index``.
+        """Emit the loop at ``index`` behind a preflight, or in place.
 
         The fast copy elides every per-access bounds check (and computes
         addresses mask-free, through planes when aligned) under a single
-        preflight conjunction evaluated at loop entry; the safe copy is
-        the plain lowering, taken whenever the preflight cannot prove the
-        whole iteration space in bounds — including every program that
-        would trap, which therefore traps with the byte-identical message
-        at the identical point.
+        preflight conjunction evaluated at loop entry. When the preflight
+        cannot prove the whole iteration space in bounds (every program
+        that would trap among them), the call resumes in the interpreter
+        at the loop, which finishes it with the byte-identical trap
+        message at the identical point. A probe that meets an access it
+        cannot bound stops there, and the loop is lowered once, in place.
         """
         info = self.analysis[index]
         stop = info.end + 1
         self._spill_all()
-        height = len(self.stack)
-        frames_len = len(self.frames)
         snapshot = (self.next_label, self.next_temp, self.next_hoist)
-        outer = self.out
-
         self.version_depth += 1
         hot = self._region_hot(index, stop)
-        fast = _FastCtx(info)
-        _ok, conjunct = info.induction.fast_path_sound()
-        if conjunct:
-            fast.require(conjunct)
-        self.fast = fast
         self.hot_fast = hot
-        if hot:
-            self._recording = True
-            self._access_log = []
-        fast_out = _Emitter()
-        fast_out.indent = outer.indent + 1
-        self.out = fast_out
-        self._compile_range(index, stop)
+        self._recording = hot
+        self._access_log = []
+        try:
+            fast_out, conditions = self._compile_fast_copy(info, None)
+        except _ProbeFailed:
+            conditions = []
         self._recording = False
-        self.fast = None
-        fast_counters = (self.next_label, self.next_temp, self.next_hoist)
 
-        del self.frames[frames_len:]
-        self._reset_stack(height)
-        self.next_label, self.next_temp, self.next_hoist = snapshot
-
-        conditions = fast.conditions()
-        if fast.failed or not conditions or len(conditions) > _MAX_PREFLIGHT:
-            # Probe failed: compile this loop in place, unversioned —
-            # but let its inner loops try their own versions.
+        if not conditions or len(conditions) > _MAX_PREFLIGHT:
+            # Compile this loop in place, unversioned, but let its inner
+            # loops try their own versions.
             self.no_version.add(index)
             self.version_depth -= 1
             self.hot_fast = False
-            self.out = outer
+            self.next_label, self.next_temp, self.next_hoist = snapshot
             self._compile_range(index, stop)
             return stop
 
@@ -2118,46 +2103,65 @@ class _FunctionCompiler:
                 # accesses still register their preflight requirements
                 # and hoists; only the access statements change), so the
                 # emitted preheaders and conditions line up.
-                fast = _FastCtx(info)
-                if conjunct:
-                    fast.require(conjunct)
-                self.fast = fast
-                self.promotions_plan = promotions
-                fast_out = _Emitter()
-                fast_out.indent = outer.indent + 1
-                self.out = fast_out
-                self._compile_range(index, stop)
-                self.fast = None
-                self.promotions_plan = None
-                self.promo_scopes = []
-                fast_counters = (self.next_label, self.next_temp,
-                                 self.next_hoist)
-                del self.frames[frames_len:]
-                self._reset_stack(height)
                 self.next_label, self.next_temp, self.next_hoist = snapshot
-                conditions = fast.conditions()
+                fast_out, conditions = self._compile_fast_copy(
+                    info, promotions)
         self.hot_fast = False
-
-        safe_out = _Emitter()
-        safe_out.indent = outer.indent + 1
-        self.out = safe_out
-        self._compile_range(index, stop)
         self.version_depth -= 1
-        self.out = outer
 
-        self.next_label = max(fast_counters[0], self.next_label)
-        self.next_temp = max(fast_counters[1], self.next_temp)
-        self.next_hoist = max(fast_counters[2], self.next_hoist)
-
-        outer.emit("_ml = len(_m)")
-        outer.emit(f"if {' and '.join(conditions)}:")
-        outer.lines.extend(fast_out.lines)
-        outer.emit("else:")
-        outer.lines.extend(safe_out.lines)
-
-        del self.frames[frames_len:]
-        self._reset_stack(height)
+        out = self.out
+        out.emit("_ml = len(_m)")
+        out.emit(f"if {' and '.join(conditions)}:")
+        out.lines.extend(fast_out.lines)
+        out.emit("else:")
+        out.emit(" " + self._resume_statement(index, len(self.stack)))
         return stop
+
+    def _compile_fast_copy(self, info: aotopt.LoopInfo,
+                           promotions: Optional[Dict[int, Dict[tuple, str]]]
+                           ) -> Tuple[_Emitter, List[str]]:
+        """Lower the versioned loop ``info`` into a fresh emitter one level
+        in; returns it with the preflight conditions. The open frames,
+        loop and promotion scopes, stack and emitter are restored, also
+        when the probe fails."""
+        fast = _FastCtx(info)
+        conjunct = info.induction.fast_path_sound()[1]
+        if conjunct:
+            fast.require(conjunct)
+        outer, height = self.out, len(self.stack)
+        depths = (len(self.frames), len(self.loop_ctxs),
+                  len(self.promo_scopes))
+        self.fast, self.promotions_plan = fast, promotions
+        self.out = _Emitter()
+        self.out.indent = outer.indent + 1
+        try:
+            self._compile_range(info.start, info.end + 1)
+            return self.out, fast.conditions()
+        finally:
+            self.fast = self.promotions_plan = None
+            self.out = outer
+            del self.frames[depths[0]:]
+            del self.loop_ctxs[depths[1]:]
+            del self.promo_scopes[depths[2]:]
+            self._reset_stack(height)
+
+    def _resume_statement(self, index: int, height: int) -> str:
+        """The failed-preflight arm of the versioned loop at ``index``:
+        finish the call in the interpreter from the loop, handing over
+        every local, the ``height`` stack slots and the interpreter label
+        stack of the constructs open here (the function label first)."""
+        body = self.func.body
+        labels = [(len(body), len(self.func_type.results), 0, False)]
+        for frame in self.frames:
+            if frame.kind == op.LOOP:
+                labels.append((frame.start + 1, 0, frame.entry_height, True))
+            else:
+                labels.append((body[frame.start].target + 1, frame.arity,
+                               frame.entry_height, False))
+        local_list = ", ".join(f"l{i}" for i in range(len(self.local_types)))
+        stack_list = ", ".join(f"s{i}" for i in range(height))
+        return (f"return _resume({self.func_index}, {index}, [{local_list}], "
+                f"[{stack_list}], {labels!r})")
 
 
 def _affine_expr(affine: Dict[int, int], scale: int) -> str:
@@ -2195,6 +2199,10 @@ class AotCompiler(Engine):
         if level not in _OPT_LEVELS:
             raise WasmError(f"unknown aot opt level: {level!r}")
         self.tracer = tracer
+        self._resumes: Dict[Tuple[int, int], int] = {}
+        self._resumes_lock = threading.Lock()
+        #: (module, its o3 plan) of the last module planned.
+        self._planned: tuple = (None, None)
         self.collector = profile_collector
         self.profile: Optional[Profile] = None
         if profile_collector is not None:
@@ -2260,25 +2268,41 @@ class AotCompiler(Engine):
             module_or_binary, imports, memory_cap_bytes=memory_cap_bytes,
             code_cache=code_cache, cache_key=cache_key)
 
+    @property
+    def resumes(self) -> Dict[Tuple[int, int], int]:
+        """A snapshot of the calls that resumed in the interpreter, per
+        ``(function index, loop pc)``: each is a versioned loop whose
+        preflight failed at entry."""
+        with self._resumes_lock:
+            return dict(self._resumes)
+
     def _plan(self, module: Module) -> Optional[pgo.ModulePlan]:
+        """The o3 plan of ``module``, built once per load."""
         if self.profile is None:
             return None
-        return pgo.module_plan(module, self.profile)
+        planned, plan = self._planned
+        if planned is not module:
+            plan = pgo.module_plan(module, self.profile)
+            self._planned = (module, plan)
+        return plan
+
+    def _compiled_func(self, module: Module, func_index: int) -> Function:
+        """The body a hot function is lowered from: the o3 plan's (with
+        inline splices) when there is one, else the decoded function."""
+        plan = self._plan(module)
+        if plan is not None:
+            return plan.hot[func_index].func
+        return module.functions[func_index - len(module.imported_funcs)]
 
     def _make_compiler(self, module: Module,
                        func_index: int) -> _FunctionCompiler:
         plan = self._plan(module)
-        if plan is not None:
-            fplan = plan.hot[func_index]
-            func, sites = fplan.func, fplan.sites
-            spec = fplan.spec_globals or None
-        else:
-            func = module.functions[func_index - len(module.imported_funcs)]
-            sites, spec = None, None
+        fplan = plan.hot[func_index] if plan is not None else None
         return _FunctionCompiler(
-            module, func, func_index, opt_level=self.opt_level,
-            use_planes=Memory.planes_supported, profile=self.profile,
-            sites=sites, spec_globals=spec,
+            module, self._compiled_func(module, func_index), func_index,
+            opt_level=self.opt_level, use_planes=Memory.planes_supported,
+            profile=self.profile, sites=fplan and fplan.sites,
+            spec_globals=fplan and fplan.spec_globals or None,
             collector=self.collector is not None)
 
     def compile_artifact(self, module: Module, func_index: int) -> tuple:
@@ -2391,6 +2415,7 @@ class AotCompiler(Engine):
             "_pkI64": S_I64.pack_into,
             "_pkF32": S_F32.pack_into,
             "_pkF64": S_F64.pack_into,
+            "_resume": self._resumer(module, instance),
         }
         memory = instance.memory
         if memory is not None and memory.planes_supported:
@@ -2415,6 +2440,28 @@ class AotCompiler(Engine):
             namespace["_pn"] = self.collector.mem_grows
         instance._aot_namespace = namespace  # type: ignore[attr-defined]
         return namespace
+
+    def _resumer(self, module: Module, instance: Instance) -> Callable:
+        """The namespace's ``_resume``: count the resume, then run the rest
+        of the call in the interpreter over the body the function was
+        lowered from. The call depth is put back to its value at the
+        resume, so the compiled frames' ``finally`` clauses unwind exactly
+        the call and the inline splices they entered."""
+        def resume(func_index: int, pc: int, locals_list: list,
+                   stack: list, labels: list):
+            key = (func_index, pc)
+            with self._resumes_lock:
+                self._resumes[key] = self._resumes.get(key, 0) + 1
+            func = self._compiled_func(module, func_index)
+            arity = len(module.types[func.type_index].results)
+            depth = instance.call_depth
+            try:
+                stack = _run(module, instance, func.body, locals_list,
+                             arity, pc, stack, labels)
+            finally:
+                instance.call_depth = depth
+            return stack[-1] if arity else None
+        return resume
 
 
 def _wrap_entry(compiled: Callable, param_types) -> Callable:

@@ -10,7 +10,7 @@ interpretation, an ablation reproduced in ``benchmarks/bench_ablation_aot.py``.
 from __future__ import annotations
 
 import math
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 from repro.errors import TrapError
 from repro.wasm import numerics as num
@@ -70,17 +70,26 @@ def _coerce(value, valtype: ValType):
 
 
 def _run(module: Module, instance: Instance, body, locals_list,
-         result_arity: int) -> List:
-    stack: List = []
+         result_arity: int, pc: int = 0, stack: Optional[List] = None,
+         labels: Optional[List[tuple]] = None) -> List:
+    """Run ``body`` from ``pc`` to the end of the call.
+
+    A call starts at pc 0 with an empty operand stack under the function
+    label. The AOT engine resumes a call part-way (at a versioned loop
+    whose preflight failed) by passing the operand ``stack`` and the
+    ``labels`` of the constructs open at ``pc``, function label first.
+    """
+    if stack is None:
+        stack = []
     # (continuation_pc, arity, stack_height, is_loop); the implicit function
     # frame returns past the end of the body.
-    labels = [(len(body), result_arity, 0, False)]
+    if labels is None:
+        labels = [(len(body), result_arity, 0, False)]
     funcs = instance.funcs
     func_types = instance.func_types
     globals_list = instance.globals
     memory = instance.memory
     mem = memory.data if memory is not None else None
-    pc = 0
     size = len(body)
 
     while pc < size:
@@ -618,6 +627,12 @@ def _run(module: Module, instance: Instance, body, locals_list,
                 locals_list[b] = a
             else:  # FUSED_GET_SET
                 locals_list[b] = locals_list[a]
+        # --- inline splices (o3 plan bodies, run only by an AOT resume):
+        # the call-depth accounting of the real call they replace ---
+        elif code == op.INLINE_ENTER:
+            instance.enter_call()
+        elif code == op.INLINE_EXIT:
+            instance.exit_call()
         else:
             raise TrapError(f"unimplemented opcode {op.name(code)}")
 

@@ -24,36 +24,36 @@ from repro.workloads.polybench import all_kernels
 #: all at the kernel's default size. The digests are those of the
 #: original capsule-everywhere lowering.
 PINNED = {
-    "2mm": ("09ad2bf0172710e5", "eda8e09876e2986c", 20),
-    "3mm": ("e7d60916a4635a2a", "e86658822724fc39", 26),
-    "adi": ("fcbd8ed0df97ba9f", "36dc8982ccc930cf", 15),
-    "atax": ("f7c5ba09072aa7a3", "e4702a4e8c2bae29", 12),
-    "bicg": ("48dc5f51baf180aa", "2b0cbbea5a689f70", 10),
-    "cholesky": ("549681d3262b9362", "8c5078e51bb67499", 10),
-    "correlation": ("aa65585f62021607", "633c022a64af6a98", 22),
-    "covariance": ("6ebcfb69355dd4c8", "4183996634db8278", 20),
-    "deriche": ("175a52464f0ad662", "baa585940c4eb608", 23),
-    "doitgen": ("a3f0deef77a70219", "4efc45d213ea47b8", 26),
-    "durbin": ("798699f110c1803f", "02f497eb7cf325d0", 5),
-    "fdtd-2d": ("85491f94161eb6de", "2316a45586d07898", 26),
-    "floyd-warshall": ("9c81e246cadd3129", "bf0ed8ef8e700b9a", 14),
-    "gemm": ("f5946e98ec15329b", "3e878dcf09274af5", 14),
-    "gemver": ("14a69e01e3bf0c6f", "6a726e51f34f5b60", 20),
-    "gesummv": ("503cbf66ed9fc62d", "0802d6e1a3db93aa", 10),
-    "gramschmidt": ("e4f8786f759b9678", "1953bf49149b68f3", 18),
-    "heat-3d": ("7411567823a71161", "e4ea574b54cb63ca", 26),
-    "jacobi-1d": ("a6ae972f2c6aa660", "7affe8b6764e30c2", 10),
-    "jacobi-2d": ("1f6d02ed1817fb0b", "ea775adc52e0d342", 18),
-    "lu": ("3f9709791fd69370", "5489bc25b4faccac", 14),
-    "ludcmp": ("396bff8e11fa52e2", "7dd87e47d88ebc0b", 16),
-    "mvt": ("fe1b3de3f4fc75fb", "3ba364b18045ff7a", 14),
-    "nussinov": ("05cb9ff52b9089bb", "f6bfcf22fafb0793", 4),
-    "seidel-2d": ("61ce4178fa914e96", "96fbb23ebe34efaa", 14),
-    "symm": ("19d570c8c0543bc2", "7bb371d4828493cf", 11),
-    "syr2k": ("7ba51efdf60b74f0", "dea93b800cfba1cc", 11),
-    "syrk": ("ce5d6162fc73eeb8", "a492e0be197007fc", 11),
-    "trisolv": ("b34e784c2d2a98e0", "2ef67dddb606435d", 4),
-    "trmm": ("37d8853b2442d39c", "7bfa77764c2dac2c", 11),
+    "2mm": ("09ad2bf0172710e5", "eda8e09876e2986c", 10),
+    "3mm": ("e7d60916a4635a2a", "e86658822724fc39", 13),
+    "adi": ("fcbd8ed0df97ba9f", "36dc8982ccc930cf", 9),
+    "atax": ("f7c5ba09072aa7a3", "e4702a4e8c2bae29", 6),
+    "bicg": ("48dc5f51baf180aa", "2b0cbbea5a689f70", 5),
+    "cholesky": ("549681d3262b9362", "8c5078e51bb67499", 7),
+    "correlation": ("aa65585f62021607", "633c022a64af6a98", 12),
+    "covariance": ("6ebcfb69355dd4c8", "4183996634db8278", 11),
+    "deriche": ("175a52464f0ad662", "baa585940c4eb608", 13),
+    "doitgen": ("a3f0deef77a70219", "4efc45d213ea47b8", 13),
+    "durbin": ("798699f110c1803f", "02f497eb7cf325d0", 3),
+    "fdtd-2d": ("85491f94161eb6de", "2316a45586d07898", 13),
+    "floyd-warshall": ("9c81e246cadd3129", "bf0ed8ef8e700b9a", 7),
+    "gemm": ("f5946e98ec15329b", "3e878dcf09274af5", 7),
+    "gemver": ("14a69e01e3bf0c6f", "6a726e51f34f5b60", 10),
+    "gesummv": ("503cbf66ed9fc62d", "0802d6e1a3db93aa", 5),
+    "gramschmidt": ("e4f8786f759b9678", "1953bf49149b68f3", 10),
+    "heat-3d": ("7411567823a71161", "e4ea574b54cb63ca", 13),
+    "jacobi-1d": ("a6ae972f2c6aa660", "7affe8b6764e30c2", 5),
+    "jacobi-2d": ("1f6d02ed1817fb0b", "ea775adc52e0d342", 9),
+    "lu": ("3f9709791fd69370", "5489bc25b4faccac", 9),
+    "ludcmp": ("396bff8e11fa52e2", "7dd87e47d88ebc0b", 11),
+    "mvt": ("fe1b3de3f4fc75fb", "3ba364b18045ff7a", 7),
+    "nussinov": ("05cb9ff52b9089bb", "f6bfcf22fafb0793", 2),
+    "seidel-2d": ("61ce4178fa914e96", "96fbb23ebe34efaa", 7),
+    "symm": ("19d570c8c0543bc2", "7bb371d4828493cf", 6),
+    "syr2k": ("7ba51efdf60b74f0", "dea93b800cfba1cc", 6),
+    "syrk": ("ce5d6162fc73eeb8", "a492e0be197007fc", 6),
+    "trisolv": ("b34e784c2d2a98e0", "2ef67dddb606435d", 3),
+    "trmm": ("37d8853b2442d39c", "7bfa77764c2dac2c", 7),
 }
 
 #: Lines the capsule-everywhere lowering emitted at o2 for all 30 kernels.
@@ -105,7 +105,7 @@ def test_o3_keeps_every_counted_for_loop(kernels):
                   for node in ast.walk(ast.parse(source)))
         for name, sources in kernels.items()}
     assert counts == {name: pin[2] for name, pin in PINNED.items()}
-    assert sum(counts.values()) == 455
+    assert sum(counts.values()) == 245
 
 
 def test_polybench_needs_no_dispatch_above_o0(kernels):

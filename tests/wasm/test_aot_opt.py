@@ -5,10 +5,12 @@ file pins the *mechanism* — that the optimiser actually emits what it
 promises (plane indexing, a hoisted preflight, mask-free induction
 arithmetic, loop-invariant hoists) and that the knob and plane machinery
 behave: ``opt_level=0`` keeps the reference codegen, planes track
-``memory.grow``, and traps fall back to the byte-identical safe path.
+``memory.grow``, and traps resume in the interpreter, byte-identical.
 """
 
 from __future__ import annotations
+
+import ast
 
 import pytest
 
@@ -119,22 +121,24 @@ def test_opt2_emits_planes_preflight_and_no_masks():
     # One hoisted bounds check per loop entry...
     assert "_ml = len(_m)" in source
     fast = _loop_body(source)
-    fast_region, _, safe_region = fast.partition("else:")
+    fast_region = fast.partition("else:")[0]
     # ...direct f64 plane indexing in the fast region, with no per-access
     # bounds checks and no masks on the induction arithmetic...
     assert "_pD[" in fast_region
     assert "out-of-bounds" not in fast_region
     assert "& 0xFFFFFFFF" not in fast_region
-    # ...while the safe copy keeps the reference per-access checks
-    # (planes and range-proven mask drops may appear there too — those
-    # passes are sound without the preflight).
-    assert "out-of-bounds" in safe_region
+    # ...while a failed preflight finishes the call in the interpreter:
+    # the `else:` arm is exactly one `_resume(...)` statement.
+    (arm,) = [node.orelse for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.If) and "_ml" in ast.unparse(node.test)]
+    assert len(arm) == 1
+    assert ast.unparse(arm[0]).startswith("return _resume(")
 
 
 def test_opt2_hoists_loop_invariant_expression():
     source = _source(_f64_stream_kernel(), 2)
     # p0 * 3.0 is pure and loop-invariant: computed once in a preheader
-    # (once per loop version — fast and safe copies each hoist it).
+    # (the fast copy's preheader).
     assert "h0 = " in source
     for line in source.splitlines():
         if "3.0" in line:
@@ -224,8 +228,8 @@ def test_grow_inside_loop_stays_coherent_with_interpreter():
 
 
 def test_preflight_failure_takes_safe_path_and_traps_identically():
-    """An OOB loop fails the preflight, runs the safe copy, and traps with
-    the reference message at the reference iteration."""
+    """An OOB loop fails the preflight, resumes in the interpreter, and
+    traps with the reference message at the reference iteration."""
     builder = ModuleBuilder()
     builder.add_memory(1, 1)
     f = builder.add_function(builder.add_type([], [I32]))
